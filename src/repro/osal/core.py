@@ -108,13 +108,16 @@ class Core:
             return
         self.ready.append(job)
         self._m_releases.inc()
-        self.sim.trace(
-            "os.release",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            deadline=job.absolute_deadline,
-        )
+        sim = self.sim
+        # guarded like every per-event trace: no kwargs dict when off
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.release",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                deadline=job.absolute_deadline,
+            )
         self._reschedule()
 
     def submit_task_activation(self, task: TaskSpec, scaled_wcet: float) -> Job:
@@ -123,17 +126,14 @@ class Core:
         perturb = self.fault_perturb
         if perturb is not None:
             scaled_wcet, release_delay = perturb(task, scaled_wcet)
-        job = Job(
-            task=task,
-            release_time=self.sim.now,
-            absolute_deadline=self.sim.now + task.effective_deadline,
-            remaining=scaled_wcet,
-            job_id=self.sim.next_job_id(),
-        )
+        sim = self.sim
+        now = sim.now
+        job = Job(task, now, now + task.effective_deadline, scaled_wcet,
+                  sim.next_job_id())
         if release_delay > 0.0:
             # the deadline stays anchored at the nominal activation, so
             # injected release jitter produces genuine deadline pressure
-            self.sim.schedule(release_delay, self.submit, job)
+            sim.schedule(release_delay, self.submit, job)
         else:
             self.submit(job)
         return job
@@ -195,29 +195,37 @@ class Core:
     def _reschedule(self) -> None:
         if self.halted:
             return
-        self._sync_current()
-        candidates = list(self.ready)
-        if self.current is not None:
-            candidates.append(self.current)
-        choice = self.policy.pick(candidates, self.sim.now)
-        if choice is not None and choice is self.current:
+        current = self.current
+        ready = self.ready
+        candidates = list(ready)
+        if current is not None:
+            self._sync_current()
+            candidates.append(current)
+        policy = self.policy
+        now = self.sim.now
+        choice = policy.pick(candidates, now)
+        if choice is not None and choice is current:
             if self._completion is None and self._quantum_call is None:
-                self._start_running(self.current)
+                self._start_running(current)
             return
-        if self.current is not None:
-            if not self.policy.preemptive:
+        if current is not None:
+            if not policy.preemptive:
                 return  # let the running job finish
             self._preempt_current()
         if choice is not None:
-            if choice in self.ready:
-                self.ready.remove(choice)
+            # the newest release is the usual winner: pop it rather than
+            # scan (and compare field by field) from the front
+            if ready and ready[-1] is choice:
+                ready.pop()
+            elif choice in ready:
+                ready.remove(choice)
             self.current = choice
             self._start_running(choice)
         else:
             self.current = None
-            if self.ready:
-                wake_at = self.policy.next_wakeup(self.sim.now)
-                if wake_at is not None and wake_at > self.sim.now:
+            if ready:
+                wake_at = policy.next_wakeup(now)
+                if wake_at is not None and wake_at > now:
                     if self._parked_until is None or wake_at < self._parked_until:
                         self._parked_until = wake_at
                         self.sim.at(wake_at, self._unpark)
@@ -251,16 +259,19 @@ class Core:
         )
 
     def _start_running(self, job: Job) -> None:
+        sim = self.sim
+        now = sim.now
         if job.start_time is None:
-            job.start_time = self.sim.now
-        self._run_started_at = self.sim.now
+            job.start_time = now
+        self._run_started_at = now
         run_for = job.remaining
         quantum = self.policy.quantum
-        self._cancel_timers()
+        if self._completion is not None or self._quantum_call is not None:
+            self._cancel_timers()
         if quantum is not None and quantum < run_for:
-            self._quantum_call = self.sim.schedule(quantum, self._quantum_expired)
+            self._quantum_call = sim.schedule(quantum, self._quantum_expired)
         else:
-            self._completion = self.sim.schedule(run_for, self._complete)
+            self._completion = sim.schedule(run_for, self._complete)
 
     def _cancel_timers(self) -> None:
         # the core holds the only reference to these handles, so a
@@ -303,34 +314,41 @@ class Core:
         job = self.current
         if job is None:
             return
-        elapsed = self.sim.now - self._run_started_at
-        self.busy_time += elapsed
+        self.busy_time += self.sim.now - self._run_started_at
         job.remaining = 0.0
-        if self._completion is not None:
-            self._completion.pooled = True
+        completion = self._completion
+        if completion is not None:
+            completion.pooled = True
             self._completion = None
         self.current = None
         self._finish_job(job)
         self._reschedule()
 
     def _finish_job(self, job: Job) -> None:
-        job.finish_time = self.sim.now
-        self.completed_jobs.append(job)
+        sim = self.sim
+        now = sim.now
+        job.finish_time = now
+        completed = self.completed_jobs
+        completed.append(job)
         limit = self.job_history_limit
-        if limit is not None and len(self.completed_jobs) > limit:
-            del self.completed_jobs[: len(self.completed_jobs) - limit]
-        self._m_response.observe(job.response_time)
-        if job.missed_deadline:
+        if limit is not None and len(completed) > limit:
+            del completed[: len(completed) - limit]
+        # the Job.response_time / Job.missed_deadline formulas, computed once
+        response = now - job.release_time
+        missed = now > job.absolute_deadline + 1e-12
+        self._m_response.observe(response)
+        if missed:
             self._m_misses.inc()
-        self.sim.trace(
-            "os.done",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            response=job.response_time,
-            missed=job.missed_deadline,
-            jitter=job.start_jitter,
-        )
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.done",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                response=response,
+                missed=missed,
+                jitter=job.start_jitter,
+            )
         for listener in self._completion_listeners:
             listener(job)
 
@@ -394,7 +412,11 @@ class PeriodicSource:
             since = self.core.clock_drift_since
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
-        self.sim.at(max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT)
+        # nobody keeps the handle (stop() is a flag, not a cancel), so
+        # release it to the event queue's free list once it has fired
+        self.sim.at(
+            max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT
+        ).pooled = True
 
     def _activate(self) -> None:
         if self.stopped:

@@ -24,12 +24,20 @@ from ..errors import ConfigurationError
 from .core import SchedulingPolicy
 from .task import Criticality, Job
 
+# module constants: one global load instead of an enum attribute lookup
+# per ready job per pick
+_DETERMINISTIC = Criticality.DETERMINISTIC
+
 
 def _effective_priority(job: Job) -> float:
     """Explicit priority if set, else rate-monotonic (shorter period wins)."""
     if job.task.priority is not None:
         return float(job.task.priority)
     return job.task.period
+
+
+def _fixed_priority_key(job: Job) -> tuple:
+    return (_effective_priority(job), job.release_time, job.job_id)
 
 
 class FixedPriorityPolicy(SchedulingPolicy):
@@ -41,7 +49,7 @@ class FixedPriorityPolicy(SchedulingPolicy):
     def pick(self, ready: List[Job], now: float) -> Optional[Job]:
         if not ready:
             return None
-        return min(ready, key=lambda j: (_effective_priority(j), j.release_time, j.job_id))
+        return min(ready, key=_fixed_priority_key)
 
 
 class EdfPolicy(SchedulingPolicy):
@@ -176,36 +184,36 @@ class MixedCriticalityPolicy(SchedulingPolicy):
         self._last_dispatch_time: Optional[float] = None
 
     def pick(self, ready: List[Job], now: float) -> Optional[Job]:
-        self._charge_previous(now)
-        det = [j for j in ready if j.task.criticality is Criticality.DETERMINISTIC]
+        # invariant: _last_dispatch_time is None unless the last pick was
+        # an NDA, so every other pick starts from the cleared state
+        if self._last_pick_nda:
+            self._charge_previous(now)
+        if not ready:
+            return None
+        det = [j for j in ready if j.task.criticality is _DETERMINISTIC]
         if det:
             self.quantum = None
-            self._last_pick_nda = False
-            self._last_dispatch_time = None
-            return min(
-                det, key=lambda j: (_effective_priority(j), j.release_time, j.job_id)
-            )
-        nda = [j for j in ready if j.task.criticality is Criticality.NON_DETERMINISTIC]
-        if not nda:
-            self._last_pick_nda = False
-            self._last_dispatch_time = None
-            return None
+            if len(det) == 1:
+                return det[0]
+            return min(det, key=_fixed_priority_key)
+        # criticality is two-valued: with no deterministic job ready,
+        # every ready job is an NDA
         if self.server is not None:
             budget = self.server.available(now)
             if budget <= 1e-12:
-                self._last_pick_nda = False
-                self._last_dispatch_time = None
                 return None
             self.quantum = min(self.nda_quantum, budget)
         else:
             self.quantum = self.nda_quantum
-        choice = self._rr.pick(nda, now)
-        self._last_pick_nda = choice is not None
-        self._last_dispatch_time = now if choice is not None else None
+        choice = self._rr.pick(ready, now)
+        if choice is not None:
+            self._last_pick_nda = True
+            self._last_dispatch_time = now
         return choice
 
     def _charge_previous(self, now: float) -> None:
-        """Charge the budget for the NDA execution since the last dispatch."""
+        """Charge the budget for the NDA execution since the last dispatch
+        and clear the last-pick state."""
         if (
             self.server is not None
             and self._last_pick_nda

@@ -8,13 +8,13 @@ insertion order, which makes every simulation run fully deterministic.
 Hot-path notes: the heap stores ``[time, priority, seq, call]`` *lists*,
 so every sift comparison runs in C and — because ``seq`` is unique —
 never falls through to comparing the call objects themselves.  Lists
-(not tuples) let a recycled call keep its heap entry across lives: the
-free-list pool (:meth:`EventQueue.push_pooled`) hands out previously
-dispatched fire-and-forget calls together with their entry, so the
-steady-state loop allocates nothing per event beyond the unavoidable
-time float and sequence int.  Cancelled entries are pruned eagerly once
-they outnumber the live ones, so long campaigns that cancel many timers
-keep O(log live) heap operations.
+(not tuples) let a recycled call keep its heap entry across lives: every
+push (:meth:`EventQueue.push` and :meth:`EventQueue.push_pooled`) takes
+from the free list of released calls first and reuses the call
+together with its entry, so the steady-state loop allocates nothing per
+event beyond the unavoidable time float and sequence int.  Cancelled
+entries are pruned eagerly once they outnumber the live ones, so long
+campaigns that cancel many timers keep O(log live) heap operations.
 
 Pooled calls never escape a snapshot: the pool itself is dropped on
 deep-copy/pickle (see ``__getstate__``), so a restored world starts with
@@ -48,8 +48,9 @@ class ScheduledCall:
     and may be cancelled before they fire via :meth:`cancel`.  Calls with
     :attr:`pooled` set are fire-and-forget: no caller holds their handle,
     so the kernel returns them to the queue's free list right after
-    dispatch (or when a cancelled one surfaces) and the next pooled push
-    reuses the object and its heap entry.
+    dispatch (or when a cancelled one surfaces) and the next push reuses
+    the object and its heap entry.  A holder releases a handle it drops
+    by setting ``pooled`` itself.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args",
@@ -116,7 +117,7 @@ class EventQueue:
         self._pool: List[ScheduledCall] = []
         #: number of in-place compaction rebuilds performed (stats)
         self.compactions = 0
-        #: pooled pushes served from the free list / total object builds
+        #: pushes served from the free list / calls built fresh
         self.pool_reuses = 0
         self.pool_creations = 0
 
@@ -207,11 +208,34 @@ class EventQueue:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
     ) -> ScheduledCall:
-        """Insert a call at ``time`` and return a cancellable handle."""
+        """Insert a call at ``time`` and return a cancellable handle.
+
+        The call comes from the free list when one is there.  A holder
+        that drops the handle sets :attr:`ScheduledCall.pooled` first, so
+        the queue can reuse it once it has fired or its cancelled entry
+        has left the heap.
+        """
         seq = next(self._counter)
-        call = ScheduledCall(time, priority, seq, callback, args, self)
-        entry = [time, priority, seq, call]
-        call._entry = entry
+        pool = self._pool
+        if pool:
+            call = pool.pop()
+            self.pool_reuses += 1
+            call.time = time
+            call.priority = priority
+            call.seq = seq
+            call.callback = callback
+            call.args = args
+            call._queue = self
+            entry = call._entry
+            entry[0] = time
+            entry[1] = priority
+            entry[2] = seq
+            entry[3] = call
+        else:
+            call = ScheduledCall(time, priority, seq, callback, args, self)
+            entry = [time, priority, seq, call]
+            call._entry = entry
+            self.pool_creations += 1
         heapq.heappush(self._heap, entry)
         return call
 
@@ -228,30 +252,7 @@ class EventQueue:
         callers, which is exactly what makes recycling them after
         dispatch safe.
         """
-        seq = next(self._counter)
-        pool = self._pool
-        if pool:
-            call = pool.pop()
-            self.pool_reuses += 1
-            call.time = time
-            call.priority = priority
-            call.seq = seq
-            call.callback = callback
-            call.args = args
-            call.pooled = True
-            call._queue = self
-            entry = call._entry
-            entry[0] = time
-            entry[1] = priority
-            entry[2] = seq
-            entry[3] = call
-        else:
-            call = ScheduledCall(time, priority, seq, callback, args, self)
-            call.pooled = True
-            entry = [time, priority, seq, call]
-            call._entry = entry
-            self.pool_creations += 1
-        heapq.heappush(self._heap, entry)
+        self.push(time, callback, args, priority).pooled = True
 
     def recycle(self, call: ScheduledCall) -> None:
         """Return a dispatched (or dropped-cancelled) pooled call to the

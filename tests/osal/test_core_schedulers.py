@@ -316,3 +316,96 @@ class TestHistoryTrimming:
         assert len(src.jobs) == 20
         assert len(core.completed_jobs) == 20
         assert src.released == 20
+
+
+class TestPinnedSchedules:
+    """One mixed task set under every policy, pinned job by job.
+
+    The set mixes deterministic and non-deterministic tasks, forces
+    preemptions, and exhausts the budget server, so any change to a
+    scheduling decision — not just to an aggregate — shows up here.
+    """
+
+    TASKS = (
+        det_task("ctl", 0.01, 0.002, deadline=0.008),
+        det_task("slow", 0.025, 0.006),
+        nda_task("bulk", 0.02, 0.007),
+        nda_task("media", 0.05, 0.012, offset=0.001),
+    )
+
+    #: (job_id, start, finish, preemptions) per policy
+    EXPECTED = {
+        "fixed_priority": [
+            (1, 0.0, 0.002, 0), (2, 0.009, 0.017, 1), (3, 0.002, 0.009, 0),
+            (4, 0.017, 0.055, 2), (5, 0.01, 0.012, 0), (6, 0.022, 0.029, 1),
+            (7, 0.02, 0.022, 0), (8, 0.029, 0.037, 1), (9, 0.03, 0.032, 0),
+            (10, 0.042, 0.049, 1), (11, 0.04, 0.042, 0),
+        ],
+        "edf": [
+            (1, 0.0, 0.002, 0), (2, 0.009, 0.017, 1), (3, 0.002, 0.009, 0),
+            (4, 0.017, 0.048, 2), (5, 0.01, 0.012, 0), (6, 0.022, 0.029, 1),
+            (7, 0.02, 0.022, 0), (8, 0.029, 0.037, 1), (9, 0.03, 0.032, 0),
+            (10, 0.048, 0.055, 0), (11, 0.04, 0.042, 0),
+        ],
+        "fifo": [
+            (1, 0.0, 0.002, 0), (2, 0.002, 0.008, 0), (3, 0.008, 0.015, 0),
+            (4, 0.015, 0.027, 0), (5, 0.027, 0.029, 0), (6, 0.029, 0.036, 0),
+            (7, 0.036, 0.038, 0), (8, 0.038, 0.044, 0), (9, 0.044, 0.046, 0),
+            (10, 0.046, 0.053, 0), (11, 0.053, 0.055, 0),
+        ],
+        "fair_share": [
+            (1, 0.0, 0.005, 0), (2, 0.001, 0.02, 0), (3, 0.002, 0.025, 0),
+            (4, 0.003, 0.046, 0), (5, 0.012, 0.017, 0), (6, 0.022, 0.047, 0),
+            (7, 0.023, 0.028, 0), (8, 0.028, 0.05, 0), (9, 0.032, 0.037, 0),
+            (10, 0.042, 0.055, 0), (11, 0.043, 0.049, 0),
+        ],
+        "mixed_background": [
+            (1, 0.0, 0.002, 0), (2, 0.002, 0.008, 0), (3, 0.008, 0.035, 1),
+            (4, 0.009, 0.049, 2), (5, 0.01, 0.012, 0), (6, 0.024, 0.05, 1),
+            (7, 0.02, 0.022, 0), (8, 0.025, 0.033, 1), (9, 0.03, 0.032, 0),
+            (10, 0.044, 0.055, 0), (11, 0.04, 0.042, 0),
+        ],
+        # the server's 3 ms / 10 ms budget runs dry: three NDA jobs are
+        # still unfinished when the run ends
+        "mixed_server": [
+            (1, 0.0, 0.002, 0), (2, 0.002, 0.008, 0), (3, 0.008, None, 0),
+            (4, 0.009, None, 3), (5, 0.01, 0.012, 0), (6, 0.024, None, 0),
+            (7, 0.02, 0.022, 0), (8, 0.025, 0.033, 1), (9, 0.03, 0.032, 0),
+            (10, 0.05, None, 0), (11, 0.04, 0.042, 0),
+        ],
+    }
+
+    @staticmethod
+    def schedule(policy):
+        sim, core = make_core(policy)
+        sources = [
+            PeriodicSource(sim, core, task, horizon=0.05)
+            for task in TestPinnedSchedules.TASKS
+        ]
+        sim.run(until=0.06)
+
+        def at(t):
+            return None if t is None else round(t, 12)
+
+        jobs = sorted((j for s in sources for j in s.jobs), key=lambda j: j.job_id)
+        return sim, [
+            (j.job_id, at(j.start_time), at(j.finish_time), j.preemptions)
+            for j in jobs
+        ]
+
+    @pytest.mark.parametrize("name, make", [
+        ("fixed_priority", FixedPriorityPolicy),
+        ("edf", EdfPolicy),
+        ("fifo", FifoPolicy),
+        ("fair_share", lambda: FairSharePolicy(quantum=0.001)),
+        ("mixed_background", lambda: MixedCriticalityPolicy(server=None)),
+    ])
+    def test_schedule_pinned(self, name, make):
+        _sim, got = self.schedule(make())
+        assert got == self.EXPECTED[name]
+
+    def test_budget_server_schedule_pinned(self):
+        server = BudgetServer(capacity=0.003, period=0.01)
+        sim, got = self.schedule(MixedCriticalityPolicy(server=server))
+        assert got == self.EXPECTED["mixed_server"]
+        assert server.available(sim.now) == 0.0

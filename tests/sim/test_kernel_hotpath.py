@@ -10,6 +10,7 @@ order, and live-count accounting — that must survive them.
 import pytest
 
 from repro.errors import SimulationError
+from repro.osal import Core, FixedPriorityPolicy, PeriodicSource, TaskSpec
 from repro.sim import Simulator
 from repro.sim.events import (
     PRIORITY_LATE,
@@ -300,3 +301,27 @@ class TestEventPooling:
         assert call._entry[3] is None  # call<->entry cycle broken
         queue.push_pooled(2.0, lambda: 1)
         assert queue.stats()["pool_reuses"] == 1
+
+    def test_handle_push_reuses_released_calls(self):
+        queue = EventQueue()
+        queue.push_pooled(1.0, lambda: None)
+        queue.recycle(queue.pop())
+        handle = queue.push(2.0, lambda: None)
+        assert queue.stats()["pool_reuses"] == 1
+        assert not handle.pooled  # a handle is held until released
+        assert queue.pop() is handle
+
+    def test_core_soak_keeps_free_list_bounded(self):
+        """Completion timers and activations released by the OSAL are
+        reused by later pushes, so a long soak neither grows the free
+        list nor keeps building fresh calls."""
+        sim = Simulator()
+        core = Core(sim, "c0", 1.0, FixedPriorityPolicy())
+        PeriodicSource(sim, core, TaskSpec("loop", period=0.005, wcet=0.001))
+        sim.run(until=2.0)
+        created = sim.queue.stats()["pool_creations"]
+        sim.run(until=8.0)
+        stats = sim.queue.stats()
+        assert stats["pool_size"] <= 2
+        assert stats["pool_creations"] == created
+        assert stats["pool_reuses"] > 2 * 6.0 / 0.005
