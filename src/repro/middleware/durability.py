@@ -124,7 +124,7 @@ class DeadlineMonitor:
         if self._watchdog_armed:
             return
         self._watchdog_armed = True
-        self.endpoint.sim.schedule(self.deadline * 1.001, self._check)
+        self.endpoint.sim.post(self.deadline * 1.001, self._check)
 
     def _check(self) -> None:
         self._watchdog_armed = False

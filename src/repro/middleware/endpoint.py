@@ -139,7 +139,7 @@ class Endpoint:
         if message.sent_at is None:
             message.sent_at = self.sim.now
         if message.dst == self.ecu_name:
-            self.sim.schedule(0.0, self._deliver_local, message, done)
+            self.sim.post(0.0, self._deliver_local, message, done)
             return done
         self._transmit(self.ecu_name, message, qos, done)
         return done
@@ -251,7 +251,7 @@ class Endpoint:
         )
         result = self.sim.signal(name=f"sd.{service_id:04x}")
         if offer.ecu == self.ecu_name:
-            self.sim.schedule(0.0, result.fire, offer)
+            self.sim.post(0.0, result.fire, offer)
             return result
         find_msg = Message(
             service_id=service_id,

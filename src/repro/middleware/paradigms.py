@@ -207,7 +207,7 @@ class RpcServer:
             return
         latency = self._method_latency[request.method_id]
         if latency > 0:
-            self.endpoint.sim.schedule(latency, self._serve, request, handler)
+            self.endpoint.sim.post(latency, self._serve, request, handler)
         else:
             self._serve(request, handler)
 
@@ -405,7 +405,7 @@ class RpcClient:
             if retry.deadline is None or sim.now + backoff < started + retry.deadline:
                 self.retries += 1
                 self._m_retries.inc()
-                sim.schedule(
+                sim.post(
                     backoff, self._attempt, result, method_id, payload,
                     payload_bytes, qos, timeout, retry, started, attempt + 1,
                 )
@@ -415,7 +415,7 @@ class RpcClient:
         if not result.fired:
             # fire through the event queue so a call failing synchronously
             # (open breaker, vanished service) still resolves asynchronously
-            sim.schedule(0.0, self._fire_failure, result)
+            sim.post(0.0, self._fire_failure, result)
 
     def _fire_failure(self, result: Signal) -> None:
         if not result.fired:
@@ -428,7 +428,9 @@ class RpcClient:
         result, expire, breaker, _ctx = entry
         if expire is not None:
             # cancel the pending timeout so long soak runs don't accumulate
-            # dead timer events in the kernel heap
+            # dead timer events in the kernel heap; this drops the only
+            # handle, so release it first for the queue to reuse
+            expire.pooled = True
             expire.cancel()
         if breaker is not None:
             breaker.record_success(self.endpoint.sim.now)
@@ -520,7 +522,7 @@ class StreamSource:
         )
         self.sequence += 1
         self.endpoint.send(sample, self.qos)
-        self.endpoint.sim.schedule(self.period, self._emit)
+        self.endpoint.sim.post(self.period, self._emit)
 
 
 class StreamSink:

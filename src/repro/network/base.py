@@ -110,7 +110,7 @@ class BusModel:
                     return
                 if kind == "delay":
                     self.frames_delayed += 1
-                    self.sim.schedule(action[1], self._finish_delivery, frame, done)
+                    self.sim.post(action[1], self._finish_delivery, frame, done)
                     return
                 # "corrupt": deliver the mangled frame; receivers model a
                 # CRC check and discard it (see Endpoint._on_frame)

@@ -119,13 +119,13 @@ class CanBus(BusModel):
                 can_id=frame.priority,
                 duration=duration,
             )
-        self.sim.schedule(duration, self._finish, frame, done, duration)
+        self.sim.post(duration, self._finish, frame, done, duration)
 
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
         self.record_transmission(duration)
         self._deliver(frame, done)
         # interframe space before the next arbitration round
-        self.sim.schedule(self.IFS_BITS / self.bitrate_bps, self._idle)
+        self.sim.post(self.IFS_BITS / self.bitrate_bps, self._idle)
 
     def _idle(self) -> None:
         self._busy = False

@@ -85,7 +85,7 @@ class EgressPort:
             return
         frame, done, duration = item
         self.busy = True
-        self.bus.sim.schedule(duration, self._finish, frame, done, duration)
+        self.bus.sim.post(duration, self._finish, frame, done, duration)
 
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
         self.frames_sent += 1

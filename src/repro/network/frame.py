@@ -45,6 +45,8 @@ class Frame:
         delivered_at: simulated time of complete reception (set by the bus).
         corrupted: set by fault injection; receivers model a CRC check and
             discard corrupted frames instead of dispatching them.
+        hop: index of this frame's segment along its end-to-end route
+            (0 on the first bus); lets one completion sink serve every hop.
     """
 
     src: str
@@ -58,6 +60,7 @@ class Frame:
     delivered_at: Optional[float] = None
     corrupted: bool = False
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    hop: int = 0
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -39,33 +39,22 @@ GATEWAY_LATENCY = 0.0002
 Hop = Tuple[str, str, str]
 
 
-class _HopCompletion:
-    """Minimal completion sink for batched segment hops.
-
-    Quacks like a :class:`~repro.sim.Signal` as far as the bus simulators
-    care (they only call ``fire``), but invokes its callback synchronously
-    — no per-frame Signal allocation and no deferred-dispatch event.  The
-    callback only *schedules* follow-up work (gateway forward after
-    ``GATEWAY_LATENCY``, or the countdown latch), so delivery timing is
-    unchanged; one sink is shared by every segment crossing its hop.
-    """
-
-    __slots__ = ("fire",)
-
-    def __init__(self, callback: Callable[[Frame], None]) -> None:
-        self.fire = callback
-
-
 class _SegmentBatch:
     """In-flight state of one batched multi-segment transfer.
 
-    Everything here is bound methods and :func:`functools.partial` —
-    never closures — so a snapshot taken mid-transfer deep-copies the
-    batch (countdown latch included) into the new world instead of
-    aliasing the original's mutable cells.
+    The batch is also the completion sink of every frame it submits:
+    buses only ever call ``fire(frame)`` on a sink, and each segment
+    frame carries its hop index in :attr:`Frame.hop`, so one object
+    forwards intermediate-hop arrivals and counts down final-hop ones —
+    no per-frame :class:`~repro.sim.Signal` and no deferred-dispatch
+    event.  Nothing the batch holds points back at it, so a finished
+    batch, or one whose segments a fault hook dropped, is freed by
+    reference counting alone.  Being a plain object (no closures), a
+    snapshot taken mid-transfer deep-copies it, countdown included,
+    instead of aliasing the original's mutable state.
     """
 
-    __slots__ = ("net", "hops", "hop_buses", "hop_priorities", "hop_done",
+    __slots__ = ("net", "hops", "hop_buses", "hop_priorities", "last_hop",
                  "traffic_class", "label", "remaining", "done")
 
     def __init__(
@@ -83,41 +72,38 @@ class _SegmentBatch:
         self.hops = hops
         self.hop_buses = hop_buses
         self.hop_priorities = hop_priorities
+        self.last_hop = len(hops) - 1
         self.traffic_class = traffic_class
         self.label = label
         self.remaining = n_segments
         self.done = done
-        # one completion sink per hop, shared by all segments: the
-        # delivered frame itself carries everything the next hop needs
-        self.hop_done = [
-            _HopCompletion(partial(self._forward, index + 1))
-            for index in range(len(hops) - 1)
-        ]
-        self.hop_done.append(_HopCompletion(self._count_down))
 
     def submit_hop(self, index: int, payload_bytes: int, payload: object) -> None:
         from_ecu, __, to_ecu = self.hops[index]
         frame = self.net._new_frame(
             from_ecu, to_ecu, payload_bytes,
             self.hop_priorities[index], self.traffic_class, payload, self.label,
+            index,
         )
-        self.hop_buses[index].submit(frame, self.hop_done[index])
+        self.hop_buses[index].submit(frame, self)
 
-    def _forward(self, next_index: int, frame: Frame) -> None:
+    def fire(self, frame: Frame) -> None:
+        """Completion of one segment frame on hop ``frame.hop``."""
+        index = frame.hop
+        if index == self.last_hop:
+            self.remaining -= 1
+            if self.remaining == 0:
+                self.done.fire(frame)
+            return
         net = self.net
         net.gateway_forwards += 1
-        net.sim.schedule(
-            GATEWAY_LATENCY, self.submit_hop, next_index,
+        net.sim.post(
+            GATEWAY_LATENCY, self.submit_hop, index + 1,
             frame.payload_bytes, frame.payload,
         )
         # the intermediate-hop frame is dead: payload extracted, trace
         # recorded, no listener retains gateway-addressed frames
         net._recycle_frame(frame)
-
-    def _count_down(self, frame: Frame) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.done.fire(frame)
 
 
 def build_bus(sim: Simulator, spec: BusSpec, gcl: Optional[GateControlList] = None) -> BusModel:
@@ -234,6 +220,7 @@ class VehicleNetwork:
         traffic_class: TrafficClass,
         payload: object,
         label: str,
+        hop: int,
     ) -> Frame:
         """Build (or recycle) one segment frame with a sim-local id."""
         pool = self._frame_pool
@@ -250,6 +237,7 @@ class VehicleNetwork:
             frame.delivered_at = None
             frame.corrupted = False
             frame.frame_id = self.sim.next_frame_id()
+            frame.hop = hop
             return frame
         return Frame(
             src=src,
@@ -260,6 +248,7 @@ class VehicleNetwork:
             payload=payload,
             label=label,
             frame_id=self.sim.next_frame_id(),
+            hop=hop,
         )
 
     def _recycle_frame(self, frame: Frame) -> None:
@@ -388,12 +377,12 @@ class VehicleNetwork:
 
         The fast path behind middleware segmentation: the route is resolved
         once for the whole batch, per-hop segment priorities are computed
-        once, gateway forwarding uses one shared closure per hop (instead
-        of one per segment per hop), and completion is a single countdown
-        latch — the returned signal fires with the final segment's frame
-        once *all* segments have reached ``dst``.  Per-segment delivery
-        order and timing are identical to ``len(sizes)`` individual
-        :meth:`send` calls issued back-to-back.
+        once, one batch object is the completion sink of every segment on
+        every hop (gateway forward or countdown latch), and the returned
+        signal fires with the final segment's frame once *all* segments
+        have reached ``dst``.  Per-segment delivery order and timing are
+        identical to ``len(sizes)`` individual :meth:`send` calls issued
+        back-to-back.
         """
         __, hops = self._resolve(src, dst)
         done = self.sim.signal(name=f"net.{src}->{dst}")
@@ -432,7 +421,7 @@ class VehicleNetwork:
         frame = self._new_frame(
             from_ecu, to_ecu, payload_bytes,
             self._segment_priority(bus, priority, traffic_class),
-            traffic_class, payload, label,
+            traffic_class, payload, label, index,
         )
         leg_done = bus.submit(frame)
 
@@ -461,7 +450,7 @@ class VehicleNetwork:
     ) -> None:
         """Gateway store-and-forward step for an unbatched send."""
         self.gateway_forwards += 1
-        self.sim.schedule(
+        self.sim.post(
             GATEWAY_LATENCY, self._send_hop, hops, next_index,
             payload_bytes, priority, traffic_class, payload, label, done,
         )

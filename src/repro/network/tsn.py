@@ -164,7 +164,7 @@ class GatedEgressPort(EgressPort):
         # nudge a nanosecond past the boundary so floating-point error can
         # never leave us a denormal-width sliver before the gate change
         self._wakeup_pending = True
-        self.bus.sim.at(max(wake_at, now) + 1e-9, self._wakeup)
+        self.bus.sim.at(max(wake_at, now) + 1e-9, self._wakeup).pooled = True
 
     def _wakeup(self) -> None:
         self._wakeup_pending = False
@@ -178,7 +178,7 @@ class GatedEgressPort(EgressPort):
             return
         frame, done, duration = item
         self.busy = True
-        self.bus.sim.schedule(duration, self._finish, frame, done, duration)
+        self.bus.sim.post(duration, self._finish, frame, done, duration)
 
 
 class TsnBus(EthernetBus):

@@ -133,7 +133,7 @@ class Core:
         if release_delay > 0.0:
             # the deadline stays anchored at the nominal activation, so
             # injected release jitter produces genuine deadline pressure
-            sim.schedule(release_delay, self.submit, job)
+            sim.post(release_delay, self.submit, job)
         else:
             self.submit(job)
         return job
@@ -228,7 +228,7 @@ class Core:
                 if wake_at is not None and wake_at > now:
                     if self._parked_until is None or wake_at < self._parked_until:
                         self._parked_until = wake_at
-                        self.sim.at(wake_at, self._unpark)
+                        self.sim.at(wake_at, self._unpark).pooled = True
 
     def _sync_current(self) -> None:
         """Charge the running job for time elapsed since dispatch."""
@@ -427,7 +427,7 @@ class PeriodicSource:
         if self.activation_jitter > 0 and self.jitter_draw is not None:
             extra = self.activation_jitter * self.jitter_draw()
         if extra > 0:
-            self.sim.schedule(extra, self._release_job)
+            self.sim.post(extra, self._release_job)
         else:
             self._release_job()
         self._activation_index += 1

@@ -11,10 +11,16 @@ never falls through to comparing the call objects themselves.  Lists
 (not tuples) let a recycled call keep its heap entry across lives: every
 push (:meth:`EventQueue.push` and :meth:`EventQueue.push_pooled`) takes
 from the free list of released calls first and reuses the call
-together with its entry, so the steady-state loop allocates nothing per
-event beyond the unavoidable time float and sequence int.  Cancelled
-entries are pruned eagerly once they outnumber the live ones, so long
-campaigns that cancel many timers keep O(log live) heap operations.
+together with its entry, so a steady-state loop of *pooled* calls
+allocates nothing per event beyond the unavoidable time float and
+sequence int (a held handle whose holder never releases it is built
+fresh and freed by reference counting).  Every path by which a call
+leaves the heap — dispatch, cancelled-head discard, pruning, clearing —
+clears the entry's back-reference (``entry[3] = None``), so no call is
+ever part of a reference cycle and dead events never wait for the
+cyclic garbage collector.  Cancelled entries are pruned eagerly once
+they outnumber the live ones, so long campaigns that cancel many timers
+keep O(log live) heap operations.
 
 Pooled calls never escape a snapshot: the pool itself is dropped on
 deep-copy/pickle (see ``__getstate__``), so a restored world starts with
@@ -74,7 +80,8 @@ class ScheduledCall:
         self.pooled = False
         self._queue = queue
         #: the [time, priority, seq, call] heap entry, kept across pool
-        #: lives so reuse allocates no fresh list
+        #: lives so reuse allocates no fresh list; its call slot is set
+        #: only while the entry sits in the heap (no call<->entry cycle)
         self._entry: Optional[list] = None
 
     @property
@@ -165,8 +172,10 @@ class EventQueue:
         if self._cancelled_in_heap * 2 > len(self._heap) and len(self._heap) >= 8:
             self._prune()
 
-    def _discard(self, call: ScheduledCall) -> None:
-        """Account for one cancelled call leaving the heap."""
+    def _discard(self, entry: list) -> None:
+        """Account for one cancelled entry leaving the heap."""
+        call = entry[3]
+        entry[3] = None  # the entry stays with the call: no cycle
         call._queue = None
         self._cancelled_in_heap -= 1
         if call.pooled:
@@ -182,12 +191,8 @@ class EventQueue:
         """
         live = []
         for entry in self._heap:
-            call = entry[3]
-            if call.cancelled:
-                call._queue = None
-                self._cancelled_in_heap -= 1
-                if call.pooled:
-                    self.recycle(call)
+            if entry[3].cancelled:
+                self._discard(entry)
             else:
                 live.append(entry)
         heapq.heapify(live)
@@ -265,7 +270,6 @@ class EventQueue:
         call.cancelled = False
         call.pooled = False
         call._queue = None
-        call._entry[3] = None  # break the call<->entry cycle while pooled
         self._pool.append(call)
 
     def pop(self) -> ScheduledCall:
@@ -276,19 +280,22 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            call = heapq.heappop(heap)[3]
+            entry = heapq.heappop(heap)
+            call = entry[3]
             if not call.cancelled:
-                # detach so a late cancel() cannot skew the live count
+                # detach so a late cancel() cannot skew the live count,
+                # and unlink the entry so the call is garbage-free
+                entry[3] = None
                 call._queue = None
                 return call
-            self._discard(call)
+            self._discard(entry)
         raise SimulationError("event queue is empty")
 
     def _skip_cancelled_heads(self) -> None:
         """Drop cancelled entries sitting at the heap root."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
-            self._discard(heapq.heappop(heap)[3])
+            self._discard(heapq.heappop(heap))
 
     def peek_call(self) -> Optional["ScheduledCall"]:
         """Return the next live call without removing it, or ``None``.
@@ -312,6 +319,7 @@ class EventQueue:
         """Drop every pending event (same in-place path as compaction)."""
         for entry in self._heap:
             call = entry[3]
+            entry[3] = None
             call._queue = None
             if call.pooled:
                 self.recycle(call)

@@ -524,13 +524,17 @@ class Simulator:
         try:
             while True:
                 while heap and heap[0][3].cancelled:
-                    queue._discard(heappop(heap)[3])
+                    queue._discard(heappop(heap))
                 if not heap:
                     break
                 t = heap[0][0]
                 if until is not None and t > until:
                     break
-                call = heappop(heap)[3]
+                entry = heappop(heap)
+                call = entry[3]
+                # the entry stays with the call for reuse but no longer
+                # points back at it: a dropped handle dies by refcount
+                entry[3] = None
                 call._queue = None
                 if t < self.now:
                     raise SimulationError("event queue time went backwards")

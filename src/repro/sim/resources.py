@@ -152,7 +152,7 @@ class ThroughputServer:
         duration = self.overhead + size / self.rate
         self._busy_until = start + duration
         done = self.sim.signal(name=f"{self.name}.job")
-        self.sim.at(self._busy_until, self._complete, done)
+        self.sim.at(self._busy_until, self._complete, done).pooled = True
         return done
 
     def _complete(self, done: Signal) -> None:

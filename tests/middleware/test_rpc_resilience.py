@@ -183,6 +183,22 @@ class TestExpireCancellation:
         assert len(sim.queue) == 0
         assert sim.now < 0.5
 
+    def test_cancelled_timeouts_are_reused(self):
+        """The client drops a cancelled timer's only handle, so it is
+        released to the event free list instead of built afresh per call."""
+        sim, net, registry, client = rpc_world()
+        answers = []
+
+        def call_again(response):
+            answers.append(response)
+            if len(answers) < 200:
+                client.call(1, timeout=1.0).add_callback(call_again)
+
+        client.call(1, timeout=1.0).add_callback(call_again)
+        sim.run()
+        assert len(answers) == 200 and client.timeouts == 0
+        assert sim.queue.stats()["pool_creations"] <= 16
+
 
 class TestCircuitBreakerUnit:
     def test_opens_after_threshold(self):

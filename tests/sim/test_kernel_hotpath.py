@@ -325,3 +325,76 @@ class TestEventPooling:
         assert stats["pool_size"] <= 2
         assert stats["pool_creations"] == created
         assert stats["pool_reuses"] > 2 * 6.0 / 0.005
+
+
+class TestHandleAfterDispatch:
+    """A call that has left the heap is unlinked from its heap entry, so a
+    dropped handle dies by refcount; a kept one must stay inert."""
+
+    def test_every_exit_from_the_heap_unlinks_the_entry(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        surfaced = sim.schedule(0.5, lambda: None)
+        surfaced.cancel()
+        popped = sim.schedule(2.0, lambda: None)
+        pruned = [sim.schedule(3.0, lambda: None) for _ in range(16)]
+        sim.run(until=1.5)
+        assert fired._entry[3] is None and surfaced._entry[3] is None
+        assert sim.queue.pop() is popped and popped._entry[3] is None
+        for handle in pruned:
+            handle.cancel()  # past half the heap: pruned in place
+        assert sim.queue.compactions == 1
+        heap = sim.queue._heap
+        for handle in pruned:
+            in_heap = any(entry is handle._entry for entry in heap)
+            assert handle._entry[3] is (handle if in_heap else None)
+        cleared = sim.schedule(1.0, lambda: None)
+        sim.queue.clear()
+        assert cleared._entry[3] is None
+
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        log = []
+        handle = sim.schedule(1.0, log.append, "first")
+        sim.run()
+        handle.cancel()
+        handle.cancel()
+        assert len(sim.queue) == 0
+        assert sim.queue.stats()["cancelled_in_heap"] == 0
+        sim.schedule(1.0, log.append, "second")
+        later = sim.schedule(2.0, log.append, "third")
+        assert later is not handle
+        sim.run()
+        assert log == ["first", "second", "third"]
+
+    def test_release_after_fire_never_frees_twice(self):
+        sim = Simulator()
+        kept = sim.schedule(1.0, lambda: None)
+        sim.run()
+        pool_size = sim.queue.stats()["pool_size"]
+        kept.pooled = True  # released too late: the kernel never sees it again
+        kept.cancel()
+        assert sim.queue.stats()["pool_size"] == pool_size
+        assert kept not in sim.queue._pool
+        fresh = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+        assert kept not in fresh
+
+    def test_release_during_own_dispatch_frees_once(self):
+        sim = Simulator()
+        holder = {}
+
+        def release_self():
+            holder["call"].pooled = True
+
+        holder["call"] = sim.schedule(1.0, release_self)
+        sim.run()
+        call = holder["call"]
+        assert sim.queue._pool.count(call) == 1
+        call.pooled = True  # a second, late release
+        call.cancel()
+        sim.run()
+        assert sim.queue._pool.count(call) == 1
+        # the released call serves exactly one later push
+        reused = sim.schedule(1.0, lambda: None)
+        assert reused is call
+        assert sim.schedule(1.0, lambda: None) is not call
