@@ -638,9 +638,11 @@ class ParallelExecutor:
         **successful** :class:`JobResult` in completion order, as soon
         as the result is recorded — the durability hook checkpoint
         stores use to persist completed shards mid-batch, so a crash
-        partway through a batch loses only the unflushed tail.  An
-        exception raised by the callback aborts the batch (workers are
-        discarded, the exception propagates).
+        partway through a batch loses only the unflushed tail.  On a
+        pool it runs after the worker that returned the result has been
+        handed its next chunk, so a slow hook (an fsync) never idles a
+        worker.  An exception raised by the callback aborts the batch
+        (workers are discarded, the exception propagates).
         """
         jobs = list(jobs)
         seen: Dict[str, int] = {}
@@ -760,7 +762,9 @@ class ParallelExecutor:
                 pending.extendleft(reversed(retriable))
                 self.supervisor.redispatches.inc(len(retriable))
 
-        while pending or busy:
+        #: replies received but not yet recorded (see below)
+        completed: List[tuple] = []
+        while True:
             # dispatch first: every idle worker gets its next chunk
             # before we block collecting, overlapping submission with
             # execution and drain
@@ -798,6 +802,12 @@ class ParallelExecutor:
                 busy[handle.conn] = handle
                 if self.chaos is not None:
                     self.chaos.on_dispatch(handle, self)
+            # result hooks (``on_result`` may fsync a checkpoint record)
+            # run only now, while the workers that returned them are
+            # already busy on their next chunks
+            for raw in completed:
+                record(raw)
+            completed.clear()
             if not busy:
                 break  # nothing in flight and nothing dispatchable
             deadlines = [h.deadline for h in busy.values()
@@ -822,9 +832,12 @@ class ParallelExecutor:
                     handle.last_beat = perf_counter()
                     continue
                 del busy[conn]
-                for raw in pickle.loads(blob):
-                    record(raw)
+                raws = pickle.loads(blob)
+                # fold the cost model now: the next chunk's size depends
+                # on it, and records must not delay that dispatch
+                for raw in raws:
                     self._observe_cost(raw)
+                completed.extend(raws)
                 handle.chunk = None
                 handle.deadline = None
                 idle.append(handle)

@@ -15,11 +15,17 @@ Design rules:
 * **Histograms are streaming.**  Quantiles (p50/p95/p99) come from
   log-spaced buckets with a bounded relative error — no per-sample
   storage, so fleet-scale campaigns cannot grow memory without limit.
+* **Instruments pickle compactly.**  Each reduces to a module-level
+  constructor and a flat state tuple, not copyreg's per-object
+  slot-state dict: every snapshot restore rebuilds the world's whole
+  registry, and handle aliasing between a component and the registry
+  survives through the pickle memo.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Label set normalised to a hashable, order-independent key component.
@@ -113,6 +119,10 @@ class Counter(Instrument):
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
 
+    def __reduce__(self) -> tuple:
+        return _scalar, (Counter, self.name, self.labels, self._enabled,
+                         self.value)
+
 
 class Gauge(Instrument):
     """A value that can go up and down (queue depth, utilisation, ...)."""
@@ -141,6 +151,21 @@ class Gauge(Instrument):
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
+
+    def __reduce__(self) -> tuple:
+        return _scalar, (Gauge, self.name, self.labels, self._enabled,
+                         self.value)
+
+
+def _scalar(cls: type, name: str, labels: LabelKey, enabled: bool,
+            value: float) -> Instrument:
+    """Unpickle a :class:`Counter` or :class:`Gauge` from its flat state."""
+    instrument = cls.__new__(cls)
+    instrument.name = name
+    instrument.labels = labels
+    instrument._enabled = enabled
+    instrument.value = value
+    return instrument
 
 
 class Histogram(Instrument):
@@ -259,6 +284,30 @@ class Histogram(Instrument):
             "p99": self.quantile(0.99),
         }
 
+    def __reduce__(self) -> tuple:
+        return _histogram, (self.name, self.labels, self._enabled,
+                            self.growth, self.count, self.min, self.max,
+                            self._buckets, self._zero_count, self._partials)
+
+
+def _histogram(name: str, labels: LabelKey, enabled: bool, growth: float,
+               count: int, low: float, high: float, buckets: Dict[int, int],
+               zero_count: int, partials: List[float]) -> Histogram:
+    """Unpickle a :class:`Histogram` from its flat state."""
+    hist = Histogram.__new__(Histogram)
+    hist.name = name
+    hist.labels = labels
+    hist._enabled = enabled
+    hist.growth = growth
+    hist._log_growth = math.log(growth)
+    hist.count = count
+    hist.min = low
+    hist.max = high
+    hist._buckets = buckets
+    hist._zero_count = zero_count
+    hist._partials = partials
+    return hist
+
 
 class MetricsRegistry:
     """Creates and owns instruments, keyed by ``(name, labels)``.
@@ -345,25 +394,33 @@ class MetricsRegistry:
         self._combine(other, gauge_rule="max")
 
     def _combine(self, other: "MetricsRegistry", *, gauge_rule: str) -> None:
-        for (kind, name, labels), theirs in other._instruments.items():
+        instruments = self._instruments
+        for key, theirs in other._instruments.items():
+            kind, name, labels = key
+            mine = instruments.get(key)
             if kind == "counter":
-                mine = self._get_or_create(kind, Counter, name, dict(labels))
+                if mine is None:
+                    mine = instruments[key] = Counter(name, labels,
+                                                      self._enabled)
                 mine.value += theirs.value
             elif kind == "gauge":
                 # A gauge this registry never set must adopt the incoming
                 # value outright: folding into the default 0.0 via max()
                 # would invent a phantom zero level (wrong whenever every
                 # real observation was negative).
-                known = (kind, name, labels) in self._instruments
-                mine = self._get_or_create(kind, Gauge, name, dict(labels))
-                if gauge_rule == "adopt" or not known:
+                if mine is None:
+                    mine = instruments[key] = Gauge(name, labels,
+                                                    self._enabled)
+                    mine.value = theirs.value
+                elif gauge_rule == "adopt":
                     mine.value = theirs.value
                 else:
                     mine.value = max(mine.value, theirs.value)
             else:
-                mine = self.histogram(
-                    name, growth=theirs.growth, **dict(labels)
-                )
+                if mine is None:
+                    mine = instruments[key] = Histogram(
+                        name, labels, self._enabled, growth=theirs.growth
+                    )
                 mine.merge(theirs)
 
     # -- inspection ------------------------------------------------------
@@ -385,9 +442,11 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Machine-readable state: ``{kind: {full_name: values}}``."""
+        named = [(i.full_name, i) for i in self._instruments.values()]
+        named.sort(key=itemgetter(0))
         out: Dict[str, Dict[str, Any]] = {}
-        for instrument in self.instruments():
-            out.setdefault(instrument.kind, {})[instrument.full_name] = (
+        for full_name, instrument in named:
+            out.setdefault(instrument.kind, {})[full_name] = (
                 instrument.snapshot()
             )
         return out

@@ -12,18 +12,30 @@ Copy-on-write boundary
 Immutable structure declared via :meth:`Simulator.share` (topologies,
 ECU/bus specs, routing graphs, schedules, offers) is **aliased**: the
 copy machinery stops at each shared object and every fork points at the
-same instance.  Everything else — mutable leaves — is copied.  Internal
-aliasing inside the mutable region is preserved (e.g. the kernel
-sanitizer's cached heap list stays the *copied* queue's heap).
+same instance.  Two kinds of value are aliased without being declared:
+
+* enum members (singletons, so a copy would resolve to them anyway);
+* frozen-dataclass instances (``TaskSpec``, ``EcuSpec``, ``GateEntry``
+  …) whose every field holds an atom, an enum member, a tuple or
+  frozenset of such values, or another such instance, and which carry
+  no instance attribute beyond their fields.
+
+Nothing can change such a value without ``object.__setattr__``, so no
+fork can observe another's writes through it.  :meth:`Simulator.share`
+stays the one mechanism for mutable types that are never mutated.
+Everything else — mutable leaves — is copied.  Internal aliasing inside
+the mutable region is preserved (e.g. the kernel sanitizer's cached
+heap list stays the *copied* queue's heap).
 
 Mechanically, a same-process fork is a :mod:`pickle` round trip with a
-``persistent_id`` hook: shared objects serialize as persistent ids and
-deserialize back to the *original* instances, so the copy runs at
-C speed and the shared structure is never traversed at all.  The
-semantics are identical to ``copy.deepcopy`` with a memo pre-seeded
-``memo[id(obj)] = obj`` per shared object — :func:`fork_world` falls
-back to exactly that when an object defies pickling (e.g. user code
-attached something with ``__reduce__`` quirks mid-experiment).
+``persistent_id`` hook: shared objects and aliased values serialize as
+persistent ids and deserialize back to the *original* instances, so the
+copy runs at C speed and the aliased structure is never traversed at
+all.  The semantics are identical to ``copy.deepcopy`` with a memo
+pre-seeded ``memo[id(obj)] = obj`` per shared object and aliased value
+— :func:`fork_world` falls back to exactly that when an object defies
+pickling (e.g. user code attached something with ``__reduce__`` quirks
+mid-experiment).
 
 Restore semantics
 -----------------
@@ -56,9 +68,13 @@ so a closure would smuggle shared mutable cells across worlds.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import enum
 import io
 import pickle
-from typing import TYPE_CHECKING, Dict, List, Optional
+import types
+import weakref
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -97,48 +113,148 @@ def check_forkable(sim: "Simulator") -> None:
         )
 
 
-def _seed_memo(sim: "Simulator") -> Dict[int, object]:
-    """Pre-seed a deepcopy memo so shared structure is aliased, not copied."""
-    memo: Dict[int, object] = {}
-    for obj in sim._shared:
-        memo[id(obj)] = obj
-    return memo
+#: exact types whose instances are immutable atoms
+_ATOMS = frozenset({type(None), bool, int, float, complex, str, bytes})
+#: types the value walk never enters: deepcopy treats them as atomic,
+#: and a function's globals would reach the whole interpreter
+_OPAQUE = (type, types.FunctionType, types.BuiltinFunctionType,
+           types.ModuleType, types.CodeType, weakref.ref)
+
+#: verdict sentinels of the automatic value rule
+_NEVER = object()
+_ALWAYS = object()
+
+#: per-type verdict of the automatic value rule: ``_NEVER``,
+#: ``_ALWAYS`` (enum members), or a frozen dataclass's
+#: ``(field names, field-name set)`` whose instances are checked field
+#: by field.  Filled lazily, one ``type`` lookup per object afterwards
+_KINDS: Dict[type, Any] = {}
+
+
+def _kind(cls: type) -> Any:
+    kind = _KINDS.get(cls)
+    if kind is None:
+        params = cls.__dict__.get("__dataclass_params__")
+        if issubclass(cls, enum.Enum):
+            kind = _ALWAYS
+        elif params is not None and params.frozen:
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            kind = (names, frozenset(names))
+        else:
+            kind = _NEVER
+        _KINDS[cls] = kind
+    return kind
+
+
+def _immutable(obj: object) -> bool:
+    """Whether ``obj`` is deeply immutable under the automatic value rule.
+
+    Atoms, enum members, tuples and frozensets of immutable values, and
+    instances of a frozen dataclass whose every field holds an immutable
+    value and which carry no instance attribute beyond their fields.
+    """
+    cls = type(obj)
+    if cls in _ATOMS:
+        return True
+    if cls is tuple or cls is frozenset:
+        return all(_immutable(item) for item in obj)  # type: ignore[attr-defined]
+    kind = _kind(cls)
+    if kind is _ALWAYS:
+        return True
+    if kind is _NEVER:
+        return False
+    names, name_set = kind
+    attrs = getattr(obj, "__dict__", None)
+    if attrs is not None and attrs.keys() != name_set:
+        return False
+    try:
+        return all(_immutable(getattr(obj, name)) for name in names)
+    except AttributeError:  # an ``init=False`` field never assigned
+        return False
+
+
+def _aliasable(obj: object) -> bool:
+    """Whether ``obj`` is a value every fork may alias: an enum member,
+    or a deeply immutable frozen-dataclass instance."""
+    kind = _kind(type(obj))
+    return kind is _ALWAYS or (kind is not _NEVER and _immutable(obj))
+
+
+def _alias_values(sim: "Simulator") -> List[object]:
+    """Explicitly shared objects, then every aliasable value reachable
+    from ``sim`` — the deepcopy fallback's view of what the pickle path
+    aliases.
+
+    The walk follows :func:`gc.get_referents`, a superset of what
+    deepcopy reaches; an extra memo entry for a value deepcopy never
+    meets is inert.
+    """
+    # imported here, on the fallback path only: importing gc up front
+    # raised every process's peak RSS by ~0.3 MiB
+    import gc
+
+    values: List[object] = list(sim._shared)
+    #: visited objects by id, held so no id is reused during the walk
+    seen = {id(obj): obj for obj in values}
+    stack: List[object] = [sim]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or type(obj) in _ATOMS:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, _OPAQUE):
+            continue
+        if _aliasable(obj):
+            values.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return values
+
+
+def _memo(values: List[object]) -> Dict[int, object]:
+    """A deepcopy memo that aliases ``values`` instead of copying them."""
+    return {id(obj): obj for obj in values}
 
 
 class _ForkPickler(pickle.Pickler):
-    """Pickler that emits shared objects as persistent ids."""
-
-    def __init__(self, buf: io.BytesIO, shared_ids: Dict[int, int]) -> None:
-        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shared_ids = shared_ids
-
-    def persistent_id(self, obj: object) -> Optional[int]:
-        return self._shared_ids.get(id(obj))
-
-
-class _ForkUnpickler(pickle.Unpickler):
-    """Unpickler that resolves persistent ids to the original instances."""
+    """Pickler that emits shared objects and aliasable values as
+    persistent ids, appending newly met values to ``shared``."""
 
     def __init__(self, buf: io.BytesIO, shared: List[object]) -> None:
-        super().__init__(buf)
+        super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
         self._shared = shared
+        self._ids = {id(obj): i for i, obj in enumerate(shared)}
 
-    def persistent_load(self, pid: int) -> object:
-        return self._shared[pid]
+    def persistent_id(self, obj: object) -> Optional[int]:
+        pid = self._ids.get(id(obj))
+        if pid is not None:
+            return pid
+        # the per-type verdict keeps the common case to one dict lookup
+        if _KINDS.get(type(obj)) is _NEVER or not _aliasable(obj):
+            return None
+        # the shared list keeps ``obj`` alive, so its id stays unique
+        pid = len(self._shared)
+        self._shared.append(obj)
+        self._ids[id(obj)] = pid
+        return pid
 
 
-def _dump_world(sim: "Simulator") -> bytes:
-    """Serialize ``sim`` with shared objects as persistent ids."""
+def _dump_world(sim: "Simulator") -> Tuple[bytes, List[object]]:
+    """Serialize ``sim``; return the blob and its persistent-id table
+    (the explicitly shared objects, then the aliased values)."""
     buf = io.BytesIO()
-    shared_ids = {id(obj): i for i, obj in enumerate(sim._shared)}
-    _ForkPickler(buf, shared_ids).dump(sim)
-    return buf.getvalue()
+    shared = list(sim._shared)
+    _ForkPickler(buf, shared).dump(sim)
+    return buf.getvalue(), shared
 
 
 def _load_world(blob: bytes, shared: List[object]) -> "Simulator":
     """Materialize a world from :func:`_dump_world` output, aliasing
-    persistent ids back to the *original* shared instances."""
-    return _ForkUnpickler(io.BytesIO(blob), shared).load()
+    persistent ids back to the *original* instances."""
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    # a C-level lookup per persistent id, no Python frame
+    unpickler.persistent_load = shared.__getitem__
+    return unpickler.load()
 
 
 def fork_world(sim: "Simulator") -> "Simulator":
@@ -147,14 +263,14 @@ def fork_world(sim: "Simulator") -> "Simulator":
     The fast path is a pickle round trip (C speed) whose persistent-id
     hook aliases every object in ``sim._shared`` instead of copying it.
     Worlds containing something picklable-by-deepcopy-only fall back to
-    :func:`copy.deepcopy` with a pre-seeded memo — same semantics,
-    slower.
+    :func:`copy.deepcopy` with a memo pre-seeded with the same shared
+    objects and aliased values — same semantics, slower.
     """
     check_forkable(sim)
     try:
-        return _load_world(_dump_world(sim), sim._shared)
+        return _load_world(*_dump_world(sim))
     except (pickle.PicklingError, TypeError, AttributeError):
-        return copy.deepcopy(sim, _seed_memo(sim))
+        return copy.deepcopy(sim, _memo(_alias_values(sim)))
 
 
 class SimSnapshot:
@@ -192,19 +308,20 @@ class SimSnapshot:
         """Snapshot ``sim`` (which keeps running, unaffected)."""
         check_forkable(sim)
         try:
-            blob = _dump_world(sim)
+            blob, shared = _dump_world(sim)
         except (pickle.PicklingError, TypeError, AttributeError):
-            pristine = copy.deepcopy(sim, _seed_memo(sim))
-            return cls(None, None, pristine, sim.now)
-        # alias the live shared list: restores of this snapshot point at
-        # the same shared instances as the source world (the CoW boundary)
-        return cls(blob, sim._shared, None, sim.now)
+            values = _alias_values(sim)
+            pristine = copy.deepcopy(sim, _memo(values))
+            return cls(None, values, pristine, sim.now)
+        # restores of this snapshot point at the source world's shared
+        # instances and aliased values (the CoW boundary)
+        return cls(blob, shared, None, sim.now)
 
     def restore(self) -> "Simulator":
         """Materialize a new independent world at the captured instant."""
         if self._blob is not None:
             return _load_world(self._blob, self._shared)
-        return copy.deepcopy(self._pristine, _seed_memo(self._pristine))
+        return copy.deepcopy(self._pristine, _memo(self._shared))
 
     @property
     def now(self) -> float:
@@ -221,7 +338,7 @@ class SimSnapshot:
         if self._blob is not None:
             payload = ("blob", self._blob, self._shared, self._now)
         else:
-            payload = ("world", self._pristine, None, self._now)
+            payload = ("world", self._pristine, self._shared, self._now)
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
@@ -230,7 +347,7 @@ class SimSnapshot:
         kind, primary, shared, now = pickle.loads(data)
         if kind == "blob":
             return cls(primary, shared, None, now)
-        return cls(None, None, primary, now)
+        return cls(None, shared, primary, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SimSnapshot t={self._now:.6f}>"
