@@ -130,6 +130,9 @@ def bench_clean(size: int, workers: int, repeats: int) -> dict:
         "repeats": repeats,
         "seconds": round(best, 2),
         "vehicles_per_sec": round(size / best, 1),
+        # unrounded: the overhead ratios divide by it, and a smoke run's
+        # ~0.2 s rounded to 0.01 s alone moves a ratio by several percent
+        "elapsed": best,
         "digest": _canonical(result.campaign_digest),
     }
 
@@ -156,7 +159,7 @@ def bench_chaos(size: int, workers: int, repeats: int, clean: dict) -> dict:
     finally:
         pool.close()
     best = min(elapsed)
-    overhead = best / clean["seconds"] - 1.0 if clean["seconds"] else 0.0
+    overhead = best / clean["elapsed"] - 1.0
     return {
         "vehicles": size,
         "workers": workers,
@@ -222,8 +225,8 @@ def bench_crash_resume(size: int, workers: int, clean: dict) -> dict:
         "shards_recomputed": total - durable,
         "recovery_seconds": round(recovery_seconds, 2),
         "recovery_fraction_of_clean": round(
-            recovery_seconds / clean["seconds"], 3
-        ) if clean["seconds"] else None,
+            recovery_seconds / clean["elapsed"], 3
+        ),
         "results_identical": _canonical(result.campaign_digest)
         == clean["digest"],
     }
@@ -250,7 +253,7 @@ def bench_checkpoint_overhead(size: int, workers: int, clean: dict) -> dict:
         records = _ckpt_records(directory)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
-    overhead = elapsed / clean["seconds"] - 1.0 if clean["seconds"] else 0.0
+    overhead = elapsed / clean["elapsed"] - 1.0
     return {
         "vehicles": size,
         "seconds": round(elapsed, 2),
@@ -341,7 +344,9 @@ def main(argv=None) -> int:
         f"{checkpoint['checkpoint_overhead']:.1%} (advisory)"
     )
 
-    clean_public = {k: v for k, v in clean.items() if k != "digest"}
+    clean_public = {
+        k: v for k, v in clean.items() if k not in ("digest", "elapsed")
+    }
     _write(os.path.join(args.out_dir, "BENCH_recovery.json"), {
         "environment": _environment(),
         "mode": mode,

@@ -10,7 +10,7 @@ by the verification engine, the DSE and the simulation builders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, FrozenSet, List, Tuple
 
 import networkx as nx
 
@@ -60,6 +60,12 @@ class Topology:
     The underlying graph is bipartite — ECU nodes and bus nodes — with an
     edge per (ECU port, bus) attachment.  Gateways are simply ECUs attached
     to more than one bus.
+
+    Routes are memoised per ``(src, dst, avoid)``.  A simulation shares
+    its topology across forks (``Simulator.share``), so every world
+    forked in one process reuses a route the first one computed.  The
+    memo is cleared by every mutation method and by
+    :meth:`invalidate_routes`, and it is not pickled.
     """
 
     def __init__(self, name: str = "vehicle") -> None:
@@ -67,6 +73,15 @@ class Topology:
         self.graph = nx.Graph()
         self._ecus: Dict[str, EcuSpec] = {}
         self._buses: Dict[str, BusSpec] = {}
+        #: (src, dst, avoided buses) -> route; a pure function of the graph
+        self._routes: Dict[Tuple[str, str, FrozenSet[str]], Tuple[str, ...]] = {}
+
+    def __getstate__(self) -> dict:
+        # the memo is a cache: a pickled or deep-copied topology starts
+        # with an empty one (the same hygiene as the network's frame pool)
+        state = self.__dict__.copy()
+        state["_routes"] = {}
+        return state
 
     # -- construction ------------------------------------------------------
 
@@ -75,6 +90,7 @@ class Topology:
         self._check_fresh_name(spec.name)
         self._ecus[spec.name] = spec
         self.graph.add_node(spec.name, kind="ecu", spec=spec)
+        self._routes.clear()
         return spec
 
     def add_bus(self, spec: BusSpec) -> BusSpec:
@@ -82,6 +98,7 @@ class Topology:
         self._check_fresh_name(spec.name)
         self._buses[spec.name] = spec
         self.graph.add_node(spec.name, kind="bus", spec=spec)
+        self._routes.clear()
         return spec
 
     def attach(self, ecu_name: str, port: str, bus_name: str) -> None:
@@ -98,6 +115,12 @@ class Topology:
                 f"to {bus_name} ({bus.technology})"
             )
         self.graph.add_edge(ecu_name, bus_name, port=port)
+        self._routes.clear()
+
+    def invalidate_routes(self) -> None:
+        """Forget every memoised route (call after editing :attr:`graph`
+        directly)."""
+        self._routes.clear()
 
     def _check_fresh_name(self, name: str) -> None:
         if name in self._ecus or name in self._buses:
@@ -151,21 +174,46 @@ class Topology:
         """ECUs attached to more than one bus (potential gateways)."""
         return [e for e in self.ecus if len(self.buses_of(e.name)) > 1]
 
-    def route(self, src_ecu: str, dst_ecu: str) -> List[str]:
+    def route(
+        self, src_ecu: str, dst_ecu: str, avoid: FrozenSet[str] = frozenset()
+    ) -> List[str]:
         """Shortest communication path between two ECUs.
 
-        Returns the alternating node list ``[src, bus, (gw, bus)*, dst]``.
+        Returns the alternating node list ``[src, bus, (gw, bus)*, dst]``
+        that never crosses a bus in ``avoid`` (failed segments).  Each
+        call returns a fresh list.
 
         Raises:
             ConfigurationError: if no path exists.
         """
+        key = (src_ecu, dst_ecu, avoid)
+        path = self._routes.get(key)
+        if path is None:
+            path = self._routes[key] = tuple(
+                self._shortest_path(src_ecu, dst_ecu, avoid)
+            )
+        return list(path)
+
+    def _shortest_path(
+        self, src_ecu: str, dst_ecu: str, avoid: FrozenSet[str]
+    ) -> List[str]:
         self.ecu(src_ecu)
         self.ecu(dst_ecu)
+        if not avoid:
+            try:
+                return nx.shortest_path(self.graph, src_ecu, dst_ecu)
+            except nx.NetworkXNoPath:
+                raise ConfigurationError(
+                    f"no communication path from {src_ecu!r} to {dst_ecu!r}"
+                ) from None
+        graph = self.graph.copy()
+        graph.remove_nodes_from(avoid)
         try:
-            return nx.shortest_path(self.graph, src_ecu, dst_ecu)
-        except nx.NetworkXNoPath:
+            return nx.shortest_path(graph, src_ecu, dst_ecu)
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
             raise ConfigurationError(
-                f"no communication path from {src_ecu!r} to {dst_ecu!r}"
+                f"no surviving path {src_ecu!r} -> {dst_ecu!r} "
+                f"(failed buses: {sorted(avoid)})"
             ) from None
 
     def route_buses(self, src_ecu: str, dst_ecu: str) -> List[BusSpec]:

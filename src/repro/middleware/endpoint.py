@@ -68,10 +68,13 @@ class Endpoint:
         self._default_handlers: List[MessageHandler] = []
         #: (session_id) -> [received segments, needed, message]
         self._reassembly: Dict[int, List] = {}
-        #: (src, dst) -> (route_epoch, min_segment, can_route): the
-        #: segmentation plan for a route, valid while the network's
-        #: failure set is unchanged (``route_epoch`` guards staleness)
-        self._segment_plans: Dict[Tuple[str, str], Tuple[int, int, bool]] = {}
+        #: (src, dst) -> (route_epoch, min_segment, can_route, sizes,
+        #: labels): the send plan for a route, valid while the network's
+        #: failure set is unchanged (``route_epoch`` guards staleness).
+        #: ``sizes`` maps a message's ``total_bytes`` to its segment
+        #: sizes; ``labels`` maps ``(service_id, msg_type)`` to its frame
+        #: label.  Both fill lazily, once per distinct message shape.
+        self._segment_plans: Dict[Tuple[str, str], tuple] = {}
         self.messages_sent = 0
         self.messages_received = 0
         self.frames_discarded = 0
@@ -145,28 +148,44 @@ class Endpoint:
         return done
 
     def _segment_plan(self, src: str, dst: str) -> Tuple[int, bool]:
-        """(min_segment, can_route) for the live route, cached per
+        """(min_segment, can_route) for the live route."""
+        plan = self._send_plan(src, dst)
+        return plan[1], plan[2]
+
+    def _send_plan(self, src: str, dst: str) -> tuple:
+        """The :attr:`_segment_plans` entry for the live route, cached per
         ``(src, dst)`` and invalidated by the network's ``route_epoch``
         (any ``fail_bus``/``repair_bus`` cycle)."""
         epoch = self.network.route_epoch
         plan = self._segment_plans.get((src, dst))
         if plan is not None and plan[0] == epoch:
-            return plan[1], plan[2]
+            return plan
         route_buses = self.network.route_buses(src, dst)
         min_segment = min(
             segment_payload_for(spec.technology) for spec in route_buses
         )
         can_route = min_segment == CAN_SEGMENT_PAYLOAD
-        self._segment_plans[(src, dst)] = (epoch, min_segment, can_route)
-        return min_segment, can_route
-
-    def _segment_sizes(self, src: str, message: Message) -> List[int]:
-        """Frame payload sizes (bytes on each frame) for the live route."""
-        min_segment, can_route = self._segment_plan(src, message.dst)
-        return plan_segment_sizes(message.total_bytes, min_segment, can_route)
+        plan = self._segment_plans[(src, dst)] = (
+            epoch, min_segment, can_route, {}, {}
+        )
+        return plan
 
     def _transmit(self, src: str, message: Message, qos: QoS, done: Signal) -> None:
-        sizes = self._segment_sizes(src, message)
+        __, min_segment, can_route, sizes_by_total, labels = self._send_plan(
+            src, message.dst
+        )
+        total_bytes = message.total_bytes
+        sizes = sizes_by_total.get(total_bytes)
+        if sizes is None:
+            sizes = sizes_by_total[total_bytes] = tuple(
+                plan_segment_sizes(total_bytes, min_segment, can_route)
+            )
+        label_key = (message.service_id, message.msg_type)
+        label = labels.get(label_key)
+        if label is None:
+            label = labels[label_key] = (
+                f"svc{message.service_id:04x}.{message.msg_type.value}"
+            )
         n_segments = len(sizes)
         markers = [(message, index, n_segments, done) for index in range(n_segments)]
         self.network.send_segments(
@@ -176,7 +195,7 @@ class Endpoint:
             priority=qos.priority,
             traffic_class=qos.traffic_class,
             payloads=markers,
-            label=f"svc{message.service_id:04x}.{message.msg_type.value}",
+            label=label,
         )
 
     def _deliver_local(self, message: Message, done: Signal) -> None:
@@ -218,14 +237,15 @@ class Endpoint:
             self._m_latency.get(message.msg_type, self._m_latency_other).observe(
                 self.sim.now - message.sent_at
             )
-        self.sim.trace(
-            "mw.delivery",
-            ecu=self.ecu_name,
-            service=message.service_id,
-            type=message.msg_type.value,
-            session=message.session_id,
-            size=message.payload_bytes,
-        )
+        if self.sim.tracer.enabled:
+            self.sim.trace(
+                "mw.delivery",
+                ecu=self.ecu_name,
+                service=message.service_id,
+                type=message.msg_type.value,
+                session=message.session_id,
+                size=message.payload_bytes,
+            )
         handlers = self._handlers.get((message.service_id, message.msg_type))
         if handlers:
             for handler in list(handlers):

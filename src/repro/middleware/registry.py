@@ -218,16 +218,18 @@ class ServiceRegistry:
             SecurityError: if the binding guard denies the client.
         """
         self._check_binding(client_app, client_ecu, service_id)
-        candidates = [
-            o
-            for o in self._offers.values()
-            if o.service_id == service_id
-            and (instance_id is None or o.instance_id == instance_id)
-        ]
-        if not candidates:
+        # one pass: the lowest instance id wins
+        best = None
+        for offer in self._offers.values():
+            if offer.service_id != service_id or (
+                instance_id is not None and offer.instance_id != instance_id
+            ):
+                continue
+            if best is None or offer.instance_id < best.instance_id:
+                best = offer
+        if best is None:
             raise ConfigurationError(f"service {service_id:#06x} not offered")
-        candidates.sort(key=lambda o: o.instance_id)
-        return candidates[0]
+        return best
 
     def instances_of(self, service_id: int) -> List[ServiceOffer]:
         """All offered instances of a service (for redundancy failover)."""

@@ -12,15 +12,16 @@ Routing is cached: the shortest path (and its hop decomposition) for a
 every subsequent send.  The cache key includes ``frozenset(failed_buses)``,
 so :meth:`fail_bus`/:meth:`repair_bus` never serve stale routes — entries
 computed under a different failure set simply stop matching, and routes
-for a previously seen failure set are reused without recomputation.
+for a previously seen failure set are reused without recomputation.  A
+miss asks :meth:`Topology.route`, whose memo lives on the shared
+topology, so a world forked from a healthy base reuses detours an
+earlier fork in the same process already computed.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..errors import ConfigurationError, NetworkError
 from ..sim import Signal, Simulator
@@ -61,8 +62,8 @@ class _SegmentBatch:
         self,
         net: "VehicleNetwork",
         hops: Tuple[Hop, ...],
-        hop_buses: List[BusModel],
-        hop_priorities: List[int],
+        hop_buses: Tuple[BusModel, ...],
+        hop_priorities: Tuple[int, ...],
         traffic_class: TrafficClass,
         label: str,
         n_segments: int,
@@ -151,6 +152,8 @@ class VehicleNetwork:
         #: route data (e.g. middleware segment plans) key on this.
         self.route_epoch = 0
         self.reroutes = 0
+        #: (hops, priority, traffic_class) -> (hop buses, hop priorities)
+        self._hop_plans: Dict[tuple, Tuple[tuple, tuple]] = {}
         metrics = sim.metrics
         self._m_cache_hit = metrics.counter("net.route_cache.hit")
         self._m_cache_miss = metrics.counter("net.route_cache.miss")
@@ -292,6 +295,7 @@ class VehicleNetwork:
     def invalidate_routes(self) -> None:
         """Drop every cached route (call after mutating the topology)."""
         self._route_cache.clear()
+        self.topology.invalidate_routes()
         self.route_epoch += 1
 
     def _resolve(self, src: str, dst: str) -> Tuple[List[str], Tuple[Hop, ...]]:
@@ -305,7 +309,7 @@ class VehicleNetwork:
         entry = self._route_cache.get(key)
         if entry is None:
             self._m_cache_miss.inc()
-            route = self._compute_route(src, dst)
+            route = self.topology.route(src, dst, self._failed_key)
             # route alternates ecu, bus, ecu, bus, ..., ecu
             hops = tuple(
                 (route[i], route[i + 1], route[i + 2])
@@ -318,20 +322,6 @@ class VehicleNetwork:
         if self._failed_key:
             self.reroutes += 1
         return entry
-
-    def _compute_route(self, src: str, dst: str) -> List[str]:
-        """Topology route honouring failed segments (cache miss path)."""
-        if not self._failed_buses:
-            return self.topology.route(src, dst)
-        graph = self.topology.graph.copy()
-        graph.remove_nodes_from(self._failed_buses)
-        try:
-            return nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise ConfigurationError(
-                f"no surviving path {src!r} -> {dst!r} "
-                f"(failed buses: {sorted(self._failed_buses)})"
-            ) from None
 
     def _route(self, src: str, dst: str) -> List[str]:
         """Topology route honouring failed segments."""
@@ -392,11 +382,18 @@ class VehicleNetwork:
             return done
         if payloads is None:
             payloads = [None] * n_segments
-        buses = self.buses
-        hop_buses = [buses[bus_name] for (__, bus_name, __) in hops]
-        hop_priorities = [
-            self._segment_priority(bus, priority, traffic_class) for bus in hop_buses
-        ]
+        plan_key = (hops, priority, traffic_class)
+        plan = self._hop_plans.get(plan_key)
+        if plan is None:
+            hop_buses = tuple(self.buses[bus_name] for (__, bus_name, __) in hops)
+            plan = self._hop_plans[plan_key] = (
+                hop_buses,
+                tuple(
+                    self._segment_priority(bus, priority, traffic_class)
+                    for bus in hop_buses
+                ),
+            )
+        hop_buses, hop_priorities = plan
         batch = _SegmentBatch(
             self, hops, hop_buses, hop_priorities, traffic_class, label,
             n_segments, done,

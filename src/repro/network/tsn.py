@@ -19,7 +19,7 @@ A frame may only start transmission if
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim import Simulator
@@ -42,13 +42,29 @@ class GateEntry:
 
 
 class GateControlList:
-    """A cyclic schedule of :class:`GateEntry` items."""
+    """A cyclic schedule of :class:`GateEntry` items.
+
+    Construction tabulates each priority's open windows as
+    ``(cursor, duration)`` pairs, ``cursor`` being the entry's start
+    offset in the cycle, so :meth:`next_open` scans one priority's
+    windows instead of every entry.
+    """
 
     def __init__(self, entries: Sequence[GateEntry]) -> None:
         if not entries:
             raise ConfigurationError("gate control list cannot be empty")
         self.entries = list(entries)
         self.cycle = sum(e.duration for e in self.entries)
+        windows: Dict[int, List[Tuple[float, float]]] = {}
+        cursor = 0.0
+        for entry in self.entries:
+            for pcp in entry.open_priorities:
+                windows.setdefault(pcp, []).append((cursor, entry.duration))
+            cursor += entry.duration
+        #: priority -> its open windows as (cursor, duration), in cycle order
+        self._windows: Dict[int, Tuple[Tuple[float, float], ...]] = {
+            pcp: tuple(spans) for pcp, spans in windows.items()
+        }
 
     @classmethod
     def tas_split(
@@ -87,18 +103,17 @@ class GateControlList:
         Raises:
             ConfigurationError: if the priority is never opened by this GCL.
         """
-        if not any(priority in e.open_priorities for e in self.entries):
+        windows = self._windows.get(priority)
+        if windows is None:
             raise ConfigurationError(f"priority {priority} never opens in GCL")
         offset = time % self.cycle
         base = time - offset
         for lap in range(2):  # at most one full wrap needed
-            cursor = 0.0
-            for entry in self.entries:
-                start = base + lap * self.cycle + cursor
-                end = start + entry.duration
-                if priority in entry.open_priorities and end > time:
+            lap_base = base + lap * self.cycle
+            for cursor, duration in windows:
+                start = lap_base + cursor
+                if start + duration > time:
                     return max(start, time)
-                cursor += entry.duration
         raise ConfigurationError("unreachable: gate scan failed")  # pragma: no cover
 
 
@@ -130,16 +145,16 @@ class GatedEgressPort(EgressPort):
     def _select(self):
         """Strict priority among queues whose gate is open *and* whose head
         frame fits in the remaining open window (guard band)."""
-        now = self.bus.sim.now
-        open_set, remaining = self.gcl.state_at(now)
+        queues = self.queues
+        if not any(queues):
+            return None
+        open_set, remaining = self.gcl.state_at(self.bus.sim.now)
         for pcp in range(7, -1, -1):
-            if not self.queues[pcp]:
+            queue = queues[pcp]
+            if not queue or pcp not in open_set:
                 continue
-            if pcp not in open_set:
-                continue
-            duration = self.queues[pcp][0][2]
-            if duration <= remaining + 1e-12:
-                return self.queues[pcp].popleft()
+            if queue[0][2] <= remaining + 1e-12:
+                return queue.popleft()
             self.gate_deferrals += 1
         self._arm_wakeup()
         return None
@@ -149,13 +164,15 @@ class GatedEgressPort(EgressPort):
         if self._wakeup_pending:
             return
         now = self.bus.sim.now
-        candidates = []
-        for pcp in range(8):
-            if self.queues[pcp]:
-                candidates.append(self.gcl.next_open(now, pcp))
-        if not candidates:
+        next_open = self.gcl.next_open
+        wake_at = None
+        for pcp, queue in enumerate(self.queues):
+            if queue:
+                opens = next_open(now, pcp)
+                if wake_at is None or opens < wake_at:
+                    wake_at = opens
+        if wake_at is None:
             return
-        wake_at = min(c for c in candidates)
         if wake_at <= now:
             # gate is open but the head frame does not fit: wake when the
             # current entry closes and the next one begins
@@ -198,6 +215,9 @@ class TsnBus(EthernetBus):
         self.gcl = gcl or GateControlList.tas_split(
             cycle=0.0005, critical_window=0.0001, critical_priorities=(7,)
         )
+        # a GCL is never mutated after construction: forks alias it, so
+        # its window table is neither copied nor rebuilt per restore
+        sim.share(self.gcl)
 
     def _make_port(self, dst: str):
         return GatedEgressPort(self, dst, self.gcl)

@@ -254,9 +254,10 @@ class Core:
         self._m_preemptions.inc()
         self.ready.append(job)
         self.current = None
-        self.sim.trace(
-            "os.preempt", core=self.name, task=job.task.name, job=job.job_id
-        )
+        if self.sim.tracer.enabled:
+            self.sim.trace(
+                "os.preempt", core=self.name, task=job.task.name, job=job.job_id
+            )
 
     def _start_running(self, job: Job) -> None:
         sim = self.sim

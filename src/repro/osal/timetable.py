@@ -237,13 +237,14 @@ class TimeTriggeredExecutive:
             self._det_queues.setdefault(job.task.name, []).append(job)
         else:
             self._background.append(job)
-        self.sim.trace(
-            "os.release",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            deadline=job.absolute_deadline,
-        )
+        if self.sim.tracer.enabled:
+            self.sim.trace(
+                "os.release",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                deadline=job.absolute_deadline,
+            )
 
     def stop(self) -> None:
         """Shut the executive down at the next slot boundary."""
@@ -319,12 +320,13 @@ class TimeTriggeredExecutive:
     def _finish(self, job: Job) -> None:
         job.finish_time = self.sim.now
         self.completed_jobs.append(job)
-        self.sim.trace(
-            "os.done",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            response=job.response_time,
-            missed=job.missed_deadline,
-            jitter=job.start_jitter,
-        )
+        if self.sim.tracer.enabled:
+            self.sim.trace(
+                "os.done",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                response=job.response_time,
+                missed=job.missed_deadline,
+                jitter=job.start_jitter,
+            )
