@@ -255,8 +255,11 @@ class FaultInjector:
             # windows are tracked per *core* regardless of whether the
             # spec addressed the core or its whole node, so overlapping
             # node- and core-targeted windows compose correctly
-            self._active_core_faults.setdefault(core.name, []).append(fault)
-            core.fault_perturb = partial(self._on_task_activation, core)
+            specs = self._active_core_faults.setdefault(core.name, [])
+            specs.append(fault)
+            # the hook holds the live list: open/close mutate it in place,
+            # and it is only replaced after the hook has been removed
+            core.fault_perturb = partial(self._on_task_activation, core, specs)
         self._record(self.sim.now, fault.kind, fault.target, "window_open")
         if fault.duration > 0:
             self._later(fault.duration, self._close_core_window, fault)
@@ -294,13 +297,6 @@ class FaultInjector:
             self._frame_streams[bus_name] = stream
         return stream
 
-    def _task_stream(self, core_name: str):
-        stream = self._task_streams.get(core_name)
-        if stream is None:
-            stream = self.rng.stream(f"{self.stream}.task.{core_name}")
-            self._task_streams[core_name] = stream
-        return stream
-
     def _on_bus_frame(self, bus: BusModel, frame: Frame) -> Optional[tuple]:
         """``BusModel._fault_hook`` — first matching active spec wins."""
         specs = self._active_bus_faults.get(bus.name)
@@ -323,26 +319,32 @@ class FaultInjector:
         return None
 
     def _on_task_activation(
-        self, core: Core, task, scaled_wcet: float
+        self, core: Core, specs: List[FaultSpec], task, scaled_wcet: float
     ) -> Tuple[float, float]:
         """``Core.fault_perturb`` — overruns stack multiplicatively,
-        jitter delays add up."""
+        jitter delays add up.  ``specs`` is the core's live window list."""
         release_delay = 0.0
-        specs = self._active_core_faults.get(core.name)
         if not specs:
             return scaled_wcet, release_delay
-        stream = self._task_stream(core.name)
+        name = core.name
+        # created on the first activation, not at window open, so the
+        # sanitizer attributes the stream to the event that draws from it
+        stream = self._task_streams.get(name)
+        if stream is None:
+            stream = self.rng.stream(f"{self.stream}.task.{name}")
+            self._task_streams[name] = stream
         now = self.sim.now
+        timeline = self.timeline
         for spec in specs:
             if spec.probability < 1.0 and stream.random() >= spec.probability:
                 continue
             self._m_events.inc()
             if spec.kind == KIND_TASK_OVERRUN:
                 scaled_wcet *= 1.0 + spec.magnitude
-                self._record(now, spec.kind, core.name, "overrun")
+                timeline.append((now, spec.kind, name, "overrun"))
             else:
                 release_delay += stream.uniform(0.0, spec.magnitude)
-                self._record(now, spec.kind, core.name, "jitter")
+                timeline.append((now, spec.kind, name, "jitter"))
         return scaled_wcet, release_delay
 
     # -- queries ------------------------------------------------------------

@@ -204,7 +204,22 @@ class Histogram(Instrument):
         if not self._enabled:
             return
         self.count += 1
-        accumulate_exact(self._partials, value)
+        partials = self._partials
+        if len(partials) == 1:
+            # accumulate_exact's loop for its common one-partial case
+            y = partials[0]
+            x = value
+            if abs(x) < abs(y):
+                x, y = y, x
+            high = x + y
+            low = y - (high - x)
+            if low:
+                partials[0] = low
+                partials.append(high)
+            else:
+                partials[0] = high
+        else:
+            accumulate_exact(partials, value)
         if value < self.min:
             self.min = value
         if value > self.max:

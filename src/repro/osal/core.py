@@ -35,6 +35,24 @@ class SchedulingPolicy:
     def on_quantum_expired(self, job: Job, ready: List[Job]) -> None:
         """Hook invoked when a sliced job exhausts its quantum."""
 
+    def pick_sole(self, job: Job, now: float) -> Optional[Job]:
+        """``pick([job], now)`` for an idle core with nothing else ready.
+
+        :meth:`Core.submit` asks this instead of building a candidate
+        list.  An override must return what ``pick([job], now)`` would
+        and leave the policy in the same state.
+        """
+        return self.pick([job], now)
+
+    def idle(self, now: float) -> None:
+        """``pick([], now)`` for a core left with no job at all.
+
+        :meth:`Core._complete` calls this instead of ``_reschedule``
+        when the finished job leaves the ready list empty; an override
+        must leave the policy in the state ``pick([], now)`` would.
+        """
+        self.pick([], now)
+
     def next_wakeup(self, now: float) -> Optional[float]:
         """If ``pick`` returned ``None`` despite ready jobs, when to retry.
 
@@ -106,7 +124,6 @@ class Core:
         """Release ``job`` on this core."""
         if self.halted:
             return
-        self.ready.append(job)
         self._m_releases.inc()
         sim = self.sim
         # guarded like every per-event trace: no kwargs dict when off
@@ -118,6 +135,33 @@ class Core:
                 job=job.job_id,
                 deadline=job.absolute_deadline,
             )
+        ready = self.ready
+        if self.current is None and not ready:
+            # idle core: ``job`` is the only candidate, so the policy is
+            # asked about it alone and the job dispatched right here —
+            # the decision _reschedule would reach through a candidate
+            # list (no timer is pending while nothing runs)
+            now = sim.now
+            policy = self.policy
+            if policy.pick_sole(job, now) is job:
+                self.current = job
+                if job.start_time is None:
+                    job.start_time = now
+                self._run_started_at = now
+                run_for = job.remaining
+                quantum = policy.quantum
+                # straight onto the queue: sim.schedule's sign test is
+                # moot for a non-negative demand, and now + 0.0 == now
+                if quantum is not None and quantum < run_for:
+                    self._quantum_call = sim.queue.push(
+                        now + quantum, self._quantum_expired)
+                else:
+                    self._completion = sim.queue.push(
+                        now + run_for, self._complete)
+                return
+            # declined (an exhausted budget): queue it and let the
+            # general path park the core
+        ready.append(job)
         self._reschedule()
 
     def submit_task_activation(self, task: TaskSpec, scaled_wcet: float) -> Job:
@@ -323,7 +367,12 @@ class Core:
             self._completion = None
         self.current = None
         self._finish_job(job)
-        self._reschedule()
+        if self.current is None and not self.ready and not self.halted:
+            # nothing left to choose from (a completion listener may have
+            # released or halted): _reschedule would only run pick([])
+            self.policy.idle(self.sim.now)
+        else:
+            self._reschedule()
 
     def _finish_job(self, job: Job) -> None:
         sim = self.sim
@@ -414,9 +463,11 @@ class PeriodicSource:
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
         # nobody keeps the handle (stop() is a flag, not a cancel), so
-        # release it to the event queue's free list once it has fired
-        self.sim.at(
-            max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT
+        # release it to the event queue's free list once it has fired;
+        # max(when, now) is never in the past, so sim.at's check is moot
+        sim = self.sim
+        sim.queue.push(
+            max(when, sim.now), self._activate, (), PRIORITY_URGENT
         ).pooled = True
 
     def _activate(self) -> None:
@@ -437,26 +488,31 @@ class PeriodicSource:
     def _release_job(self) -> None:
         if self.stopped:
             return
-        job = self.core.submit_task_activation(self.task, self.scaled_wcet)
-        self.jobs.append(job)
-        self.released += 1
-        limit = self.core.job_history_limit
-        if limit is not None and len(self.jobs) > limit:
-            self._trim(limit)
-
-    def _trim(self, limit: int) -> None:
-        # fold the oldest *finished* jobs into aggregate counters;
-        # unfinished jobs are never dropped, so
-        # unfinished_past_deadline() stays exact too
+        core = self.core
         jobs = self.jobs
-        keep_from = 0
+        jobs.append(core.submit_task_activation(self.task, self.scaled_wcet))
+        self.released += 1
+        limit = core.job_history_limit
+        if limit is None:
+            return
+        # fold the oldest *finished* jobs beyond the limit into aggregate
+        # counters (Job.finished / Job.missed_deadline, read as plain
+        # fields); unfinished jobs are never dropped, so
+        # unfinished_past_deadline() stays exact too
         excess = len(jobs) - limit
-        while keep_from < excess and jobs[keep_from].finished:
-            if jobs[keep_from].missed_deadline:
-                self._folded_misses += 1
-            self._folded_finished += 1
+        keep_from = 0
+        misses = 0
+        while keep_from < excess:
+            job = jobs[keep_from]
+            finish = job.finish_time
+            if finish is None:
+                break
+            if finish > job.absolute_deadline + 1e-12:
+                misses += 1
             keep_from += 1
         if keep_from:
+            self._folded_finished += keep_from
+            self._folded_misses += misses
             del jobs[:keep_from]
 
     # -- metrics ---------------------------------------------------------------

@@ -211,6 +211,20 @@ class MixedCriticalityPolicy(SchedulingPolicy):
             self._last_dispatch_time = now
         return choice
 
+    def pick_sole(self, job: Job, now: float) -> Optional[Job]:
+        if job.task.criticality is not _DETERMINISTIC:
+            return self.pick([job], now)
+        # pick([job]) for a lone deterministic job: rule 1, no slicing
+        if self._last_pick_nda:
+            self._charge_previous(now)
+        self.quantum = None
+        return job
+
+    def idle(self, now: float) -> None:
+        # pick([]): only the pending NDA slice is charged
+        if self._last_pick_nda:
+            self._charge_previous(now)
+
     def _charge_previous(self, now: float) -> None:
         """Charge the budget for the NDA execution since the last dispatch
         and clear the last-pick state."""

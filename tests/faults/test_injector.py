@@ -1,9 +1,15 @@
 """Per-kind behaviour and determinism of the FaultInjector."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, redundant_ring_topology
+from repro.fleet.shard import FleetSpec, app_for, vehicle_plan
+from repro.fleet.variants import build_vehicle_world, variant_of
 from repro.hw import BusSpec, EcuSpec, Topology
 from repro.middleware import Endpoint, Message, MessageType, ServiceRegistry
 from repro.network import VehicleNetwork
@@ -357,3 +363,122 @@ class TestDeterminism:
 
     def test_different_seed_gives_different_timeline(self):
         assert self._run(42) != self._run(43)
+
+
+GOLDEN_VEHICLES = os.path.join(os.path.dirname(__file__),
+                               "golden_vehicle_faults.json")
+
+#: a fleet whose vehicles carry all three overrun windows of the fleet
+#: plan (baseline, spike and, under "new", the regression) on every core
+GOLDEN_FLEET = FleetSpec(name="golden", master_seed=7, soak_time=2.0,
+                         regression_overrun=0.2)
+
+
+def vehicle_fault_record(index, tag):
+    """Injector timeline and fault counters of one fleet vehicle soak."""
+    spec = GOLDEN_FLEET
+    variant = variant_of(spec.master_seed, index, spec.variant_table)
+    sim = build_vehicle_world(variant, app_for(spec, tag))
+    platform = sim.world["fleet_vehicle"]["platform"]
+    injector = FaultInjector(sim, vehicle_plan(spec, tag), 1000 + index,
+                             platform=platform).arm()
+    sim.run(until=sim.now + spec.soak_time)
+    timeline = json.dumps(injector.timeline).encode()
+    metrics = sim.metrics.snapshot()["counter"]
+    return {
+        "vehicle": index,
+        "tag": tag,
+        "timeline_entries": len(injector.timeline),
+        "timeline_sha256": hashlib.sha256(timeline).hexdigest(),
+        "actions": injector.counts_by_action(),
+        "counters": {name: value for name, value in sorted(metrics.items())
+                     if name.startswith("faults.")},
+    }
+
+
+def vehicle_fault_records():
+    return [vehicle_fault_record(index, tag)
+            for tag in ("old", "new") for index in range(3)]
+
+
+def perturbed_wcet(core, task, seen):
+    """Record what the core's task hook makes of a 1 s wcet right now."""
+    hook = core.fault_perturb
+    seen.append(None if hook is None else hook(task, 1.0)[0])
+
+
+class TestCoreWindowBinding:
+    """The task hook binds the core's live window list once per install."""
+
+    @staticmethod
+    def overrun(start, duration, magnitude, target="core0"):
+        return FaultSpec(kind="task_overrun", target=target, start=start,
+                         duration=duration, magnitude=magnitude)
+
+    def test_reopened_window_sees_new_specs(self):
+        sim, core = core_world()
+        task = TaskSpec(name="t", period=0.01, wcet=0.002)
+        PeriodicSource(sim, core, task, horizon=0.1)
+        first = self.overrun(0.005, 0.02, 1.0)
+        second = self.overrun(0.045, 0.02, 3.0)
+        injector = FaultInjector(sim, FaultPlan(name="reopen", faults=(
+            first, second)), 1, cores=(core,)).arm()
+        sim.run(until=0.03)
+        assert core.fault_perturb is None  # last window closed
+        sim.run(until=0.05)
+        # a fresh hook bound to a fresh list holding only the new spec
+        assert core.fault_perturb.args[1] == [second]
+        assert core.fault_perturb.args[1] is injector._active_core_faults["core0"]
+        sim.run()
+        first_hit = [j for j in core.completed_jobs
+                     if 0.005 <= j.release_time < 0.025]
+        second_hit = [j for j in core.completed_jobs
+                      if 0.045 <= j.release_time < 0.065]
+        assert len(first_hit) == 2 and len(second_hit) == 2
+        assert all(j.response_time == pytest.approx(0.004) for j in first_hit)
+        assert all(j.response_time == pytest.approx(0.008) for j in second_hit)
+
+    def test_overlapping_node_and_core_windows_compose(self):
+        sim = Simulator()
+        platform = small_platform(sim)
+        cores = platform.node("platform_0").cores
+        core = cores[0]
+        node_wide = self.overrun(0.0, 0.03, 0.5, target="platform_0")
+        core_only = self.overrun(0.01, 0.01, 1.0, target=core.name)
+        FaultInjector(sim, FaultPlan(name="compose", faults=(
+            node_wide, core_only)), 1, platform=platform).arm()
+        task = TaskSpec(name="probe", period=0.01, wcet=0.001)
+        seen = []
+        for when in (0.005, 0.015, 0.025, 0.035):
+            sim.at(when, perturbed_wcet, core, task, seen)
+        sim.run(until=0.04)
+        # node window alone, both stacked, node window alone, none
+        assert seen == [1.5, 3.0, 1.5, None]
+        for other in cores:
+            assert other.fault_perturb is None
+
+    def test_task_stream_created_on_first_activation(self):
+        sim, core = core_world()
+        task = TaskSpec(name="t", period=0.01, wcet=0.002, offset=0.004)
+        PeriodicSource(sim, core, task, horizon=0.02)
+        plan = FaultPlan(name="late", faults=(FaultSpec(
+            kind="task_overrun", target="core0", start=0.0, duration=0.0,
+            magnitude=0.5, probability=0.5),))
+        injector = FaultInjector(sim, plan, 3, cores=(core,)).arm()
+        sim.run(until=0.002)
+        assert core.fault_perturb is not None  # window open
+        assert "faults.task.core0" not in injector.rng._streams
+        sim.run(until=0.005)
+        assert "faults.task.core0" in injector.rng._streams
+
+    def test_fleet_vehicle_faults_match_golden(self):
+        with open(GOLDEN_VEHICLES, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert json.loads(json.dumps(vehicle_fault_records())) == golden
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_VEHICLES, "w", encoding="utf-8") as fh:
+        json.dump(vehicle_fault_records(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"regenerated {GOLDEN_VEHICLES}")

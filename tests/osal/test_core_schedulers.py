@@ -409,3 +409,114 @@ class TestPinnedSchedules:
         sim, got = self.schedule(MixedCriticalityPolicy(server=server))
         assert got == self.EXPECTED["mixed_server"]
         assert server.available(sim.now) == 0.0
+
+    # -- boundary schedules: the cases where an idle-core release or an
+    # empty-ready completion meets parking, halting or a same-instant event
+
+    @staticmethod
+    def boundary(policy, tasks, *, horizon, until, calls=()):
+        """Run ``tasks`` on one core; ``calls`` are ``(time, method)``
+        pairs of core methods (``halt``, ``resume``) fired mid-run."""
+        sim, core = make_core(policy)
+        sources = [PeriodicSource(sim, core, task, horizon=horizon)
+                   for task in tasks]
+        for when, method in calls:
+            sim.at(when, getattr(core, method))
+        parked = []
+
+        def probe():
+            parked.append(core._parked_until)
+
+        for when in (0.006, 0.013):
+            sim.at(when, probe)
+        sim.run(until=until)
+
+        def at(t):
+            return None if t is None else round(t, 12)
+
+        jobs = sorted((j for s in sources for j in s.jobs), key=lambda j: j.job_id)
+        table = [(j.job_id, at(j.start_time), at(j.finish_time), j.preemptions)
+                 for j in jobs]
+        return sim, core, table, parked
+
+    def test_nda_release_on_idle_core_with_exhausted_budget(self):
+        # job 1 spends the whole 2 ms budget and leaves the core idle;
+        # job 2 arrives at 5 ms, is declined, and the core parks until
+        # the replenishment at 10 ms
+        server = BudgetServer(capacity=0.002, period=0.01)
+        _sim, core, got, parked = self.boundary(
+            MixedCriticalityPolicy(server=server),
+            (nda_task("bulk", 0.005, 0.002),),
+            horizon=0.02, until=0.03,
+        )
+        assert got == [
+            (1, 0.0, 0.002, 0), (2, 0.01, 0.021, 0), (3, 0.011, 0.022, 0),
+            (4, None, None, 0),
+        ]
+        assert parked == [0.01, 0.02]
+        assert core._parked_until is None
+        assert server._last_replenish == 0.02
+        assert server._budget <= 1e-12
+
+    def test_release_onto_parked_core(self):
+        # "late" (7 ms) joins a core parked since 5 ms; "ctl" (8 ms) is
+        # deterministic and runs at once although the core is parked
+        server = BudgetServer(capacity=0.002, period=0.01)
+        _sim, _core, got, parked = self.boundary(
+            MixedCriticalityPolicy(server=server),
+            (nda_task("bulk", 0.005, 0.002),
+             nda_task("late", 0.01, 0.001, offset=0.007),
+             det_task("ctl", 0.01, 0.001, offset=0.008)),
+            horizon=0.02, until=0.04,
+        )
+        assert got == [
+            (1, 0.0, 0.002, 0), (2, 0.01, 0.022, 0), (3, 0.011, 0.012, 0),
+            (4, 0.008, 0.009, 0), (5, 0.02, None, 0), (6, None, None, 0),
+            (7, None, None, 0), (8, 0.018, 0.019, 0),
+        ]
+        assert parked == [0.01, 0.02]
+        assert server._last_replenish == 0.02
+
+    def test_release_while_halted_then_resume(self):
+        # halted mid-job 2; job 3 (20 ms) is dropped; job 4 runs after
+        # the resume at 25 ms on an idle core
+        _sim, core, got, _parked = self.boundary(
+            FixedPriorityPolicy(), (det_task("t", 0.01, 0.002),),
+            horizon=0.05, until=0.06,
+            calls=((0.011, "halt"), (0.025, "resume")),
+        )
+        assert got == [
+            (1, 0.0, 0.002, 0), (2, 0.01, None, 0), (3, None, None, 0),
+            (4, 0.03, 0.032, 0), (5, 0.04, 0.042, 0),
+        ]
+        assert round(core.busy_time, 12) == 0.006
+
+    def test_release_at_completion_instant(self):
+        # "hi" is released (urgent priority) at 4 ms, the instant "lo"
+        # completes: it preempts "lo" with nothing left to run, and "lo"
+        # finishes right after it
+        _sim, core, got, _parked = self.boundary(
+            FixedPriorityPolicy(),
+            (det_task("lo", 0.02, 0.004),
+             det_task("hi", 0.004, 0.001, offset=0.004)),
+            horizon=0.02, until=0.03,
+        )
+        assert got == [
+            (1, 0.0, 0.005, 1), (2, 0.004, 0.005, 0), (3, 0.008, 0.009, 0),
+            (4, 0.012, 0.013, 0), (5, 0.016, 0.017, 0),
+        ]
+        assert core.current is None and not core.ready
+
+    def test_fair_share_quantum_on_idle_core(self):
+        # job 2 starts a 1 ms quantum on an idle core at 10 ms; job 3
+        # arrives mid-quantum and waits for the boundary
+        _sim, _core, got, _parked = self.boundary(
+            FairSharePolicy(quantum=0.001),
+            (det_task("a", 0.01, 0.0025),
+             nda_task("b", 0.02, 0.0015, offset=0.0105)),
+            horizon=0.03, until=0.04,
+        )
+        assert got == [
+            (1, 0.0, 0.0025, 0), (2, 0.01, 0.014, 0), (3, 0.011, 0.0135, 0),
+            (4, 0.02, 0.0225, 0),
+        ]
