@@ -1,7 +1,13 @@
 """Bus-level network simulators: CAN, FlexRay, switched Ethernet, TSN."""
 
 from .base import BusModel
-from .can import CAN_MAX_ID, CAN_MAX_PAYLOAD, CanBus, can_frame_bits
+from .can import (
+    CAN_MAX_ID,
+    CAN_MAX_PAYLOAD,
+    CanBus,
+    can_frame_bits,
+    can_response_time_bound,
+)
 from .ethernet import (
     ETH_MAX_PAYLOAD,
     ETH_MIN_PAYLOAD,
@@ -34,5 +40,6 @@ __all__ = [
     "VehicleNetwork",
     "build_bus",
     "can_frame_bits",
+    "can_response_time_bound",
     "ethernet_wire_bytes",
 ]

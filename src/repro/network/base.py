@@ -96,10 +96,19 @@ class BusModel:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _deliver(self, frame: Frame, done: Optional[Signal]) -> None:
-        """Mark ``frame`` delivered now and fan it out to receivers."""
+    def _deliver(
+        self, frame: Frame, done: Optional[Signal], hooked: bool = False
+    ) -> None:
+        """Mark ``frame`` delivered now and fan it out to receivers.
+
+        The whole delivery of one completed transmission, in one frame:
+        every bus completion calls this exactly once, and it is the one
+        entry point a subclass overrides to replace delivery.  ``hooked``
+        marks the continuation of a fault-delayed frame, which already
+        passed the fault hook and is delivered without asking it again.
+        """
         hook = self._fault_hook
-        if hook is not None:
+        if hook is not None and not hooked:
             action = hook(self, frame)
             if action is not None:
                 kind = action[0]
@@ -110,35 +119,40 @@ class BusModel:
                     return
                 if kind == "delay":
                     self.frames_delayed += 1
-                    self.sim.post(action[1], self._finish_delivery, frame, done)
+                    self.sim.post(action[1], self._deliver, frame, done, True)
                     return
                 # "corrupt": deliver the mangled frame; receivers model a
                 # CRC check and discard it (see Endpoint._on_frame)
                 frame.corrupted = True
                 self.frames_corrupted += 1
-        self._finish_delivery(frame, done)
-
-    def _finish_delivery(self, frame: Frame, done: Optional[Signal]) -> None:
-        frame.delivered_at = self.sim.now
+        sim = self.sim
+        now = sim.now
+        frame.delivered_at = now
         self.frames_delivered += 1
-        self.bytes_delivered += frame.payload_bytes
-        self._m_frames.inc()
-        self._m_bytes.inc(frame.payload_bytes)
-        self._m_latency.observe(frame.latency)
-        if self.sim.tracer.enabled:
+        payload_bytes = frame.payload_bytes
+        self.bytes_delivered += payload_bytes
+        m_frames = self._m_frames
+        if m_frames._enabled:
+            # the registry flips every instrument's flag together, so one
+            # test covers all three; now - created_at is frame.latency
+            m_frames.value += 1.0
+            self._m_bytes.value += payload_bytes
+            self._m_latency.observe(now - frame.created_at)
+        if sim.tracer.enabled:
             # guarded at the call site: building the kwargs dict per
             # delivery is pure overhead while tracing is off
-            self.sim.trace(
+            sim.trace(
                 "net.delivery",
                 bus=self.name,
                 frame_id=frame.frame_id,
                 src=frame.src,
                 dst=frame.dst,
                 label=frame.label,
-                latency=frame.latency,
+                latency=now - frame.created_at,
                 traffic_class=frame.traffic_class.value,
             )
-        if frame.dst is None:
+        dst = frame.dst
+        if dst is None:
             # iterate a prebuilt snapshot: a listener mutating the table
             # mid-fan-out invalidates the cache for the *next* delivery,
             # while this delivery keeps the pre-mutation view — exactly
@@ -151,7 +165,7 @@ class BusModel:
                 if ecu != src:
                     listener(frame)
         else:
-            listener = self._listeners.get(frame.dst)
+            listener = self._listeners.get(dst)
             if listener is not None:
                 listener(frame)
         if done is not None:

@@ -25,7 +25,8 @@ identifiers break by submission order, exactly as the sort did).
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+import math
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import NetworkError
 from ..sim import Signal, Simulator
@@ -64,6 +65,12 @@ class CanBus(BusModel):
 
     def __init__(self, sim: Simulator, name: str, bitrate_bps: float) -> None:
         super().__init__(sim, name, bitrate_bps)
+        #: wire seconds per payload size 0..CAN_MAX_PAYLOAD, so neither
+        #: submit nor arbitration re-derives the stuffed frame length
+        self._durations = tuple(
+            can_frame_bits(n) / bitrate_bps for n in range(CAN_MAX_PAYLOAD + 1)
+        )
+        self._ifs = self.IFS_BITS / bitrate_bps
         # heap of (priority/id, submit sequence, frame, done-signal); the
         # (priority, seq) prefix is unique, so the Frame is never compared
         self._pending: List[Tuple[int, int, Frame, Signal]] = []
@@ -84,7 +91,8 @@ class CanBus(BusModel):
             raise NetworkError(
                 f"CAN identifier must be 0..{CAN_MAX_ID}, got {frame.priority}"
             )
-        can_frame_bits(frame.payload_bytes)  # validates payload size
+        if not 0 <= frame.payload_bytes <= CAN_MAX_PAYLOAD:
+            can_frame_bits(frame.payload_bytes)  # raises the size error
         frame.created_at = self.sim.now
         if done is None:
             done = self.sim.signal(name=f"{self.name}.tx")
@@ -110,22 +118,26 @@ class CanBus(BusModel):
             self.arbitration_losses += self._fresh_pending
             self._fresh_pending = 0
             self._loss_watermark = self._seq
-        duration = can_frame_bits(frame.payload_bytes) / self.bitrate_bps
-        if self.sim.tracer.enabled:
-            self.sim.trace(
+        duration = self._durations[frame.payload_bytes]
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace(
                 "net.tx_start",
                 bus=self.name,
                 frame_id=frame.frame_id,
                 can_id=frame.priority,
                 duration=duration,
             )
-        self.sim.post(duration, self._finish, frame, done, duration)
+        sim.queue.push(
+            sim.now + duration, self._finish, (frame, done, duration)
+        ).pooled = True
 
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
-        self.record_transmission(duration)
+        self.transmit_time += duration
         self._deliver(frame, done)
         # interframe space before the next arbitration round
-        self.sim.post(self.IFS_BITS / self.bitrate_bps, self._idle)
+        sim = self.sim
+        sim.queue.push(sim.now + self._ifs, self._idle, ()).pooled = True
 
     def _idle(self) -> None:
         self._busy = False
@@ -139,3 +151,52 @@ class CanBus(BusModel):
     def worst_case_blocking(self) -> float:
         """Longest time a top-priority frame can wait behind a started frame."""
         return can_frame_bits(CAN_MAX_PAYLOAD) / self.bitrate_bps
+
+
+def can_response_time_bound(
+    flows: Sequence[Tuple[int, int, float]], bitrate_bps: float
+) -> Dict[int, float]:
+    """Worst-case response time of each periodic single-frame CAN flow.
+
+    The sufficient test of Davis, Burns, Bril & Lukkien (2007), with no
+    queuing jitter.  ``flows`` holds one ``(identifier, payload_bytes,
+    period)`` per flow, identifiers unique.  For the flow with
+    identifier ``m``::
+
+        w = max(B_m, C_m) + sum over k in hp(m) of ceil((w + tau) / T_k) C_k
+        R_m = w + C_m
+
+    ``C_k`` is flow ``k``'s worst-case stuffed frame time plus the 3-bit
+    interframe space :class:`CanBus` inserts after every frame, ``B_m``
+    the longest ``C`` among lower-priority identifiers, and ``tau`` one
+    bit time.  Taking ``max(B_m, C_m)`` covers the push-through of the
+    flow's own previous instance, so the bound holds for every instance
+    as long as it does not exceed the period.  A flow whose response
+    would exceed its period gets ``math.inf``: the test cannot bound it.
+    """
+    ids = [can_id for can_id, __, __ in flows]
+    if len(set(ids)) != len(ids):
+        raise NetworkError("CAN response-time analysis needs unique identifiers")
+    tau = 1.0 / bitrate_bps
+    frame_times = {
+        can_id: (can_frame_bits(size) + CanBus.IFS_BITS) / bitrate_bps
+        for can_id, size, __ in flows
+    }
+    bounds: Dict[int, float] = {}
+    for can_id, __, period in flows:
+        own = frame_times[can_id]
+        blocking = max(
+            (frame_times[other] for other in ids if other >= can_id), default=0.0
+        )
+        higher = [(frame_times[k], t) for k, __, t in flows if k < can_id]
+        w = blocking
+        while True:
+            nxt = blocking + sum(math.ceil((w + tau) / t) * c for c, t in higher)
+            if nxt + own > period:
+                bounds[can_id] = math.inf
+                break
+            if nxt == w:
+                bounds[can_id] = w + own
+                break
+            w = nxt
+    return bounds

@@ -62,7 +62,14 @@ class EgressPort:
             raise NetworkError(
                 f"Ethernet PCP must be 0..{N_PRIORITIES - 1}, got {frame.priority}"
             )
-        duration = self.bus.wire_time(ethernet_wire_bytes(frame.payload_bytes))
+        bus = self.bus
+        duration = bus._durations.get(frame.payload_bytes)
+        if duration is None:
+            # a miss fills the per-bus memo; an oversize frame raises
+            # before anything is stored
+            duration = bus._durations[frame.payload_bytes] = bus.wire_time(
+                ethernet_wire_bytes(frame.payload_bytes)
+            )
         self._admit(frame, duration)
         self.queues[frame.priority].append((frame, done, duration))
         if not self.busy:
@@ -85,12 +92,16 @@ class EgressPort:
             return
         frame, done, duration = item
         self.busy = True
-        self.bus.sim.post(duration, self._finish, frame, done, duration)
+        sim = self.bus.sim
+        sim.queue.push(
+            sim.now + duration, self._finish, (frame, done, duration)
+        ).pooled = True
 
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
         self.frames_sent += 1
-        self.bus.record_transmission(duration)
-        self.bus._deliver(frame, done)
+        bus = self.bus
+        bus.transmit_time += duration
+        bus._deliver(frame, done)
         self.busy = False
         self._start_next()
 
@@ -131,6 +142,8 @@ class EthernetBus(BusModel):
     ) -> None:
         super().__init__(sim, name, bitrate_bps)
         self._ports: Dict[str, EgressPort] = {}
+        #: payload bytes -> wire seconds, filled on first use of a size
+        self._durations: Dict[int, float] = {}
 
     def _port(self, dst: str) -> EgressPort:
         port = self._ports.get(dst)

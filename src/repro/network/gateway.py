@@ -98,10 +98,11 @@ class _SegmentBatch:
             return
         net = self.net
         net.gateway_forwards += 1
-        net.sim.post(
-            GATEWAY_LATENCY, self.submit_hop, index + 1,
-            frame.payload_bytes, frame.payload,
-        )
+        sim = net.sim
+        sim.queue.push(
+            sim.now + GATEWAY_LATENCY, self.submit_hop,
+            (index + 1, frame.payload_bytes, frame.payload),
+        ).pooled = True
         # the intermediate-hop frame is dead: payload extracted, trace
         # recorded, no listener retains gateway-addressed frames
         net._recycle_frame(frame)
@@ -228,6 +229,9 @@ class VehicleNetwork:
         """Build (or recycle) one segment frame with a sim-local id."""
         pool = self._frame_pool
         if pool:
+            if payload_bytes < 0:
+                # the check Frame.__post_init__ runs on a fresh frame
+                raise NetworkError("payload size cannot be negative")
             frame = pool.pop()
             frame.src = src
             frame.dst = dst

@@ -195,7 +195,10 @@ class GatedEgressPort(EgressPort):
             return
         frame, done, duration = item
         self.busy = True
-        self.bus.sim.post(duration, self._finish, frame, done, duration)
+        sim = self.bus.sim
+        sim.queue.push(
+            sim.now + duration, self._finish, (frame, done, duration)
+        ).pooled = True
 
 
 class TsnBus(EthernetBus):

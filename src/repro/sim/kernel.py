@@ -433,9 +433,9 @@ class Simulator:
         if delay:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
-            self.queue.push_pooled(self.now + delay, callback, args, priority)
+            self.queue.push(self.now + delay, callback, args, priority).pooled = True
         else:
-            self.queue.push_pooled(self.now, callback, args, priority)
+            self.queue.push(self.now, callback, args, priority).pooled = True
 
     def at(
         self,
@@ -520,6 +520,7 @@ class Simulator:
         self._running = True
         queue = self.queue
         heap = queue._heap  # queue mutates this list strictly in place
+        pool_append = queue._pool.append  # the free list is never rebound
         m = self._m_events
         try:
             while True:
@@ -558,7 +559,13 @@ class Simulator:
                     finally:
                         profiler.account(call.callback, perf_counter() - start)
                 if call.pooled:
-                    queue.recycle(call)
+                    # EventQueue.recycle, inlined: the same resets (the
+                    # call's _queue was already cleared when it was popped)
+                    call.callback = None
+                    call.args = ()
+                    call.cancelled = False
+                    call.pooled = False
+                    pool_append(call)
                 if self._crashed_processes:
                     self._raise_crashes()
             if until is not None and until > self.now:

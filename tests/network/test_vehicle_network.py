@@ -133,3 +133,44 @@ class TestVehicleNetwork:
         net.send("sensor", "brain", 8, priority=0x10)
         sim.run()
         assert net.total_frames_delivered() == 2  # one per segment
+
+
+def gateway_pair_topology():
+    """A CAN leg behind a gateway to an Ethernet pair ``a``/``b``."""
+    topo = Topology("pair")
+    topo.add_bus(BusSpec("can", "can", 500_000.0))
+    topo.add_bus(BusSpec("eth", "ethernet", 100e6))
+    topo.add_ecu(EcuSpec("c", ports=(("can0", "can"),)))
+    topo.add_ecu(EcuSpec("g", ports=(("can0", "can"), ("eth0", "ethernet"))))
+    for name in ("a", "b"):
+        topo.add_ecu(EcuSpec(name, ports=(("eth0", "ethernet"),)))
+    topo.attach("c", "can0", "can")
+    topo.attach("g", "can0", "can")
+    for name in ("g", "a", "b"):
+        topo.attach(name, "eth0", "eth")
+    return topo
+
+
+class TestNegativePayload:
+    """A negative size is refused whether or not a pooled frame is reused."""
+
+    def test_rejected_with_empty_pool(self):
+        sim = Simulator()
+        net = VehicleNetwork(sim, gateway_pair_topology())
+        assert not net._frame_pool
+        with pytest.raises(NetworkError, match="payload size cannot be negative"):
+            net.send("a", "b", -5)
+
+    def test_rejected_when_a_pooled_frame_would_be_reused(self):
+        sim = Simulator()
+        net = VehicleNetwork(sim, gateway_pair_topology())
+        net.send("c", "a", 8)
+        while not net._frame_pool:
+            sim.step()
+        with pytest.raises(NetworkError, match="payload size cannot be negative"):
+            net.send("a", "b", -5)
+        # the refused send consumed nothing: the pooled frame is still
+        # there, and only the gateway leg's 8 bytes reach the backbone
+        assert len(net._frame_pool) == 1
+        sim.run()
+        assert net.bus("eth").bytes_delivered == 8
