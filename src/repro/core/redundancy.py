@@ -15,6 +15,7 @@ metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -138,6 +139,21 @@ class ReplicaSet:
         )
 
 
+def _sync_cadence(heartbeat_period: float, sync_period: float) -> int:
+    """Heartbeat ticks per state sync: ``floor(sync / heartbeat)``, >= 1.
+
+    The quotient of two decimal periods can land a few ulps below an
+    integer (0.3 / 0.1 is 2.9999999999999996); such a quotient counts as
+    that integer instead of flooring one tick short.  A genuinely
+    fractional ratio still floors.
+    """
+    ratio = sync_period / heartbeat_period
+    nearest = round(ratio)
+    if math.isclose(ratio, nearest, rel_tol=1e-9):
+        return max(1, nearest)
+    return max(1, math.floor(ratio))
+
+
 class RedundancyManager:
     """Deploys and supervises replica sets on a platform."""
 
@@ -152,6 +168,8 @@ class RedundancyManager:
         self.sim: Simulator = platform.sim
         self.heartbeat_period = heartbeat_period
         self.sync_period = sync_period
+        #: heartbeat ticks per state sync, fixed at construction
+        self._sync_every = _sync_cadence(heartbeat_period, sync_period)
         self.replica_sets: Dict[str, ReplicaSet] = {}
         self._last_known_failure: Dict[str, float] = {}
         self._supervising = False
@@ -207,26 +225,28 @@ class RedundancyManager:
 
     def _heartbeat_tick(self) -> None:
         now = self.sim.now
+        nodes = self.platform.nodes
         for replica_set in self.replica_sets.values():
-            primary_node = self.platform.node(replica_set.primary.node_name)
-            failure_time = (
-                primary_node.state.failure_time
-                if primary_node.state.failure_time is not None
-                else now
-            )
-            replica_set.check_and_failover(now, failure_time)
+            # the healthy case, tested inline: check_and_failover would
+            # return False for an up node with a RUNNING primary
+            primary = replica_set.instances[replica_set.primary_index]
+            node = nodes[primary.node_name]
+            if node.failed or primary.state is not AppState.RUNNING:
+                failure_time = node.state.failure_time
+                replica_set.check_and_failover(
+                    now, now if failure_time is None else failure_time
+                )
         # periodic state sync on the sync cadence
-        if (
-            round(now / self.heartbeat_period)
-            % max(1, int(self.sync_period / self.heartbeat_period))
-            == 0
-        ):
+        if round(now / self.heartbeat_period) % self._sync_every == 0:
             for replica_set in self.replica_sets.values():
-                if not self.platform.node(
-                    replica_set.primary.node_name
-                ).failed:
+                if not nodes[replica_set.primary.node_name].failed:
                     replica_set.sync_state()
-        self.sim.post(self.heartbeat_period, self._heartbeat_tick)
+        # the float post() computes, without its frame and sign test (the
+        # first tick went through post, which rejects a negative period)
+        sim = self.sim
+        sim.queue.push(
+            sim.now + self.heartbeat_period, self._heartbeat_tick, ()
+        ).pooled = True
 
     def all_failovers(self) -> List[FailoverEvent]:
         events = []

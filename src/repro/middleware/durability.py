@@ -76,7 +76,7 @@ class DurableEventProducer(EventProducer):
                 session_id=self.endpoint.sim.next_session_id(),
             )
             self.replays += 1
-            self.endpoint.send(note, QOS_DEFAULT)
+            self.endpoint._send(note, QOS_DEFAULT)
 
 
 @dataclass

@@ -64,7 +64,10 @@ class Endpoint:
         self.network = network
         self.ecu_name = ecu_name
         self.registry = registry
-        self._handlers: Dict[Tuple[int, MessageType], List[MessageHandler]] = {}
+        #: (service_id, msg_type value) -> handlers.  Per-message tables
+        #: key on the enum's value string, which hashes in C; a member's
+        #: own __hash__ is a Python frame per lookup.
+        self._handlers: Dict[Tuple[int, str], List[MessageHandler]] = {}
         self._default_handlers: List[MessageHandler] = []
         #: (session_id) -> [received segments, needed, message]
         self._reassembly: Dict[int, List] = {}
@@ -72,8 +75,8 @@ class Endpoint:
         #: labels): the send plan for a route, valid while the network's
         #: failure set is unchanged (``route_epoch`` guards staleness).
         #: ``sizes`` maps a message's ``total_bytes`` to its segment
-        #: sizes; ``labels`` maps ``(service_id, msg_type)`` to its frame
-        #: label.  Both fill lazily, once per distinct message shape.
+        #: sizes; ``labels`` maps ``(service_id, msg_type value)`` to its
+        #: frame label.  Both fill lazily, once per distinct message shape.
         self._segment_plans: Dict[Tuple[str, str], tuple] = {}
         self.messages_sent = 0
         self.messages_received = 0
@@ -84,16 +87,16 @@ class Endpoint:
         metrics = sim.metrics
         self._m_received = metrics.counter("mw.messages", ecu=ecu_name)
         self._m_latency = {
-            MessageType.NOTIFICATION: metrics.histogram(
+            MessageType.NOTIFICATION._value_: metrics.histogram(
                 "mw.delivery_latency", ecu=ecu_name, paradigm="event"
             ),
-            MessageType.REQUEST: metrics.histogram(
+            MessageType.REQUEST._value_: metrics.histogram(
                 "mw.delivery_latency", ecu=ecu_name, paradigm="message"
             ),
-            MessageType.RESPONSE: metrics.histogram(
+            MessageType.RESPONSE._value_: metrics.histogram(
                 "mw.delivery_latency", ecu=ecu_name, paradigm="message"
             ),
-            MessageType.STREAM_SAMPLE: metrics.histogram(
+            MessageType.STREAM_SAMPLE._value_: metrics.histogram(
                 "mw.delivery_latency", ecu=ecu_name, paradigm="stream"
             ),
         }
@@ -112,7 +115,9 @@ class Endpoint:
         Multiple handlers may coexist (e.g. a consumer plus a deadline
         monitor); all of them are invoked in registration order.
         """
-        self._handlers.setdefault((service_id, msg_type), []).append(handler)
+        self._handlers.setdefault((service_id, msg_type._value_), []).append(
+            handler
+        )
 
     def on_any_message(self, handler: MessageHandler) -> None:
         """Fallback handler for messages without a specific registration."""
@@ -138,14 +143,26 @@ class Endpoint:
         latency, mirroring RTE-local communication.
         """
         done = self.sim.signal(name=f"mw.{message.src}->{message.dst}")
+        self._send(message, qos, done)
+        return done
+
+    def _send(
+        self, message: Message, qos: QoS, done: Optional[Signal] = None
+    ) -> None:
+        """The one send path behind :meth:`send`.
+
+        ``done`` is the completion sink fired with the message once the
+        destination reassembled it; ``None`` means nobody waits, so the
+        paradigm senders that would drop :meth:`send`'s signal call this
+        directly and no signal is built at all.
+        """
         self.messages_sent += 1
         if message.sent_at is None:
             message.sent_at = self.sim.now
         if message.dst == self.ecu_name:
             self.sim.post(0.0, self._deliver_local, message, done)
-            return done
+            return
         self._transmit(self.ecu_name, message, qos, done)
-        return done
 
     def _segment_plan(self, src: str, dst: str) -> Tuple[int, bool]:
         """(min_segment, can_route) for the live route."""
@@ -170,7 +187,9 @@ class Endpoint:
         )
         return plan
 
-    def _transmit(self, src: str, message: Message, qos: QoS, done: Signal) -> None:
+    def _transmit(
+        self, src: str, message: Message, qos: QoS, done: Optional[Signal]
+    ) -> None:
         __, min_segment, can_route, sizes_by_total, labels = self._send_plan(
             src, message.dst
         )
@@ -180,28 +199,25 @@ class Endpoint:
             sizes = sizes_by_total[total_bytes] = tuple(
                 plan_segment_sizes(total_bytes, min_segment, can_route)
             )
-        label_key = (message.service_id, message.msg_type)
+        msg_type = message.msg_type._value_
+        label_key = (message.service_id, msg_type)
         label = labels.get(label_key)
         if label is None:
-            label = labels[label_key] = (
-                f"svc{message.service_id:04x}.{message.msg_type.value}"
-            )
+            label = labels[label_key] = f"svc{message.service_id:04x}.{msg_type}"
         n_segments = len(sizes)
         markers = [(message, index, n_segments, done) for index in range(n_segments)]
-        self.network.send_segments(
-            src,
-            message.dst,
-            sizes,
-            priority=qos.priority,
-            traffic_class=qos.traffic_class,
-            payloads=markers,
-            label=label,
+        # the markers carry the message's sink to the reassembling
+        # endpoint; nobody waits on the network's own completion
+        self.network._send_segments(
+            src, message.dst, sizes, qos.priority, qos.traffic_class,
+            markers, label, None,
         )
 
-    def _deliver_local(self, message: Message, done: Signal) -> None:
+    def _deliver_local(self, message: Message, done: Optional[Signal]) -> None:
         self.messages_received += 1
         self._dispatch(message)
-        done.fire(message)
+        if done is not None:
+            done.fire(message)
 
     # -- receiving --------------------------------------------------------------
 
@@ -228,13 +244,14 @@ class Endpoint:
             del self._reassembly[message.session_id]
             self.messages_received += 1
             self._dispatch(message)
-            if not done.fired:
+            if done is not None and not done.fired:
                 done.fire(message)
 
     def _dispatch(self, message: Message) -> None:
         self._m_received.inc()
+        msg_type = message.msg_type._value_
         if message.sent_at is not None:
-            self._m_latency.get(message.msg_type, self._m_latency_other).observe(
+            self._m_latency.get(msg_type, self._m_latency_other).observe(
                 self.sim.now - message.sent_at
             )
         if self.sim.tracer.enabled:
@@ -242,11 +259,11 @@ class Endpoint:
                 "mw.delivery",
                 ecu=self.ecu_name,
                 service=message.service_id,
-                type=message.msg_type.value,
+                type=msg_type,
                 session=message.session_id,
                 size=message.payload_bytes,
             )
-        handlers = self._handlers.get((message.service_id, message.msg_type))
+        handlers = self._handlers.get((message.service_id, msg_type))
         if handlers:
             for handler in list(handlers):
                 handler(message)

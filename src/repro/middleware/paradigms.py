@@ -63,7 +63,7 @@ class EventProducer:
             dst=message.src,
             session_id=self.endpoint.sim.next_session_id(),
         )
-        self.endpoint.send(ack, QOS_DEFAULT)
+        self.endpoint._send(ack, QOS_DEFAULT)
 
     def publish(
         self, payload: object, payload_bytes: int, qos: QoS = QOS_DEFAULT
@@ -137,7 +137,7 @@ class EventConsumer:
             sender_app=self.client_app,
             session_id=self.endpoint.sim.next_session_id(),
         )
-        self.endpoint.send(sub, QOS_DEFAULT)
+        self.endpoint._send(sub, QOS_DEFAULT)
 
     def _on_ack(self, message: Message) -> None:
         if not self.subscribed.fired:
@@ -238,7 +238,7 @@ class RpcServer:
             return_code=code,
             sender_app=self.provider_app,
         )
-        self.endpoint.send(response, QOS_DEFAULT)
+        self.endpoint._send(response, QOS_DEFAULT)
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,8 @@ class RpcClient:
         self.breaker_fastfails = 0
         metrics = endpoint.sim.metrics
         label = f"{service_id:04x}"
+        #: name of every call's result signal, formatted once
+        self._result_name = f"rpc.{label}"
         self._m_timeouts = metrics.counter("rpc.timeouts", service=label)
         self._m_retries = metrics.counter("rpc.retries", service=label)
         self._m_fastfails = metrics.counter("rpc.breaker_fastfail", service=label)
@@ -331,7 +333,7 @@ class RpcClient:
                 "a retrying call needs a per-attempt timeout"
             )
         self.calls_made += 1
-        result = self.endpoint.sim.signal(name=f"rpc.{self.service_id:04x}")
+        result = self.endpoint.sim.signal(name=self._result_name)
         self._attempt(
             result, method_id, payload, payload_bytes, qos, timeout, retry,
             self.endpoint.sim.now, 1,
@@ -395,7 +397,7 @@ class RpcClient:
         if effective_timeout is not None:
             expire = sim.schedule(effective_timeout, self._expire, request.session_id)
         self._pending[request.session_id] = (result, expire, breaker, ctx)
-        self.endpoint.send(request, qos)
+        self.endpoint._send(request, qos)
 
     def _attempt_failed(self, result: Signal, ctx: Tuple) -> None:
         method_id, payload, payload_bytes, qos, timeout, retry, started, attempt = ctx
@@ -521,7 +523,7 @@ class StreamSource:
             session_id=self.endpoint.sim.next_session_id(),
         )
         self.sequence += 1
-        self.endpoint.send(sample, self.qos)
+        self.endpoint._send(sample, self.qos)
         self.endpoint.sim.post(self.period, self._emit)
 
 

@@ -46,7 +46,8 @@ class _SegmentBatch:
     The batch is also the completion sink of every frame it submits:
     buses only ever call ``fire(frame)`` on a sink, and each segment
     frame carries its hop index in :attr:`Frame.hop`, so one object
-    forwards intermediate-hop arrivals and counts down final-hop ones —
+    forwards intermediate-hop arrivals and counts down final-hop ones
+    (only while a caller waits on ``done``; a ``None`` sink skips it) —
     no per-frame :class:`~repro.sim.Signal` and no deferred-dispatch
     event.  Nothing the batch holds points back at it, so a finished
     batch, or one whose segments a fault hook dropped, is freed by
@@ -67,7 +68,7 @@ class _SegmentBatch:
         traffic_class: TrafficClass,
         label: str,
         n_segments: int,
-        done: Signal,
+        done: Optional[Signal],
     ) -> None:
         self.net = net
         self.hops = hops
@@ -92,9 +93,11 @@ class _SegmentBatch:
         """Completion of one segment frame on hop ``frame.hop``."""
         index = frame.hop
         if index == self.last_hop:
-            self.remaining -= 1
-            if self.remaining == 0:
-                self.done.fire(frame)
+            done = self.done
+            if done is not None:
+                self.remaining -= 1
+                if self.remaining == 0:
+                    done.fire(frame)
             return
         net = self.net
         net.gateway_forwards += 1
@@ -153,7 +156,7 @@ class VehicleNetwork:
         #: route data (e.g. middleware segment plans) key on this.
         self.route_epoch = 0
         self.reroutes = 0
-        #: (hops, priority, traffic_class) -> (hop buses, hop priorities)
+        #: (hops, priority, traffic class value) -> (hop buses, hop priorities)
         self._hop_plans: Dict[tuple, Tuple[tuple, tuple]] = {}
         metrics = sim.metrics
         self._m_cache_hit = metrics.counter("net.route_cache.hit")
@@ -378,15 +381,40 @@ class VehicleNetwork:
         identical to ``len(sizes)`` individual :meth:`send` calls issued
         back-to-back.
         """
-        __, hops = self._resolve(src, dst)
         done = self.sim.signal(name=f"net.{src}->{dst}")
+        self._send_segments(src, dst, sizes, priority, traffic_class,
+                            payloads, label, done)
+        return done
+
+    def _send_segments(
+        self,
+        src: str,
+        dst: str,
+        sizes: Sequence[int],
+        priority: int,
+        traffic_class: TrafficClass,
+        payloads: Optional[Sequence[object]],
+        label: str,
+        done: Optional[Signal],
+    ) -> None:
+        """The batched submit behind :meth:`send_segments`.
+
+        ``done`` is the completion sink (like ``BusModel.submit``'s), fired
+        with the final segment's frame; ``None`` means nobody waits, and
+        the batch then skips the countdown.  The middleware passes
+        ``None``: its segment markers carry their own sink.
+        """
+        __, hops = self._resolve(src, dst)
         n_segments = len(sizes)
         if n_segments == 0:
-            self.sim.post(0.0, done.fire, None)
-            return done
+            if done is not None:
+                self.sim.post(0.0, done.fire, None)
+            return
         if payloads is None:
             payloads = [None] * n_segments
-        plan_key = (hops, priority, traffic_class)
+        # the enum's value string hashes in C; the member's __hash__ is a
+        # Python frame per lookup
+        plan_key = (hops, priority, traffic_class._value_)
         plan = self._hop_plans.get(plan_key)
         if plan is None:
             hop_buses = tuple(self.buses[bus_name] for (__, bus_name, __) in hops)
@@ -404,7 +432,6 @@ class VehicleNetwork:
         )
         for size, payload in zip(sizes, payloads):
             batch.submit_hop(0, size, payload)
-        return done
 
     def _send_hop(
         self,

@@ -144,7 +144,13 @@ class GatedEgressPort(EgressPort):
 
     def _select(self):
         """Strict priority among queues whose gate is open *and* whose head
-        frame fits in the remaining open window (guard band)."""
+        frame fits in the remaining open window (guard band).
+
+        ``gate_deferrals`` counts guard-band misses only: each selection
+        round adds one per open-gate queue whose head frame does not fit,
+        so a frame held across several rounds counts once per round, and
+        a frame waiting at a closed gate is never counted.
+        """
         queues = self.queues
         if not any(queues):
             return None
@@ -179,9 +185,12 @@ class GatedEgressPort(EgressPort):
             __, remaining = self.gcl.state_at(now)
             wake_at = now + remaining
         # nudge a nanosecond past the boundary so floating-point error can
-        # never leave us a denormal-width sliver before the gate change
+        # never leave us a denormal-width sliver before the gate change;
+        # the time is past now, so push without sim.at's check
         self._wakeup_pending = True
-        self.bus.sim.at(max(wake_at, now) + 1e-9, self._wakeup).pooled = True
+        self.bus.sim.queue.push(
+            max(wake_at, now) + 1e-9, self._wakeup, ()
+        ).pooled = True
 
     def _wakeup(self) -> None:
         self._wakeup_pending = False
@@ -226,7 +235,10 @@ class TsnBus(EthernetBus):
         return GatedEgressPort(self, dst, self.gcl)
 
     def total_gate_deferrals(self) -> int:
-        """Frames held back by a closed/insufficient gate, across all ports."""
+        """Guard-band misses across all ports: selection rounds in which an
+        open gate's head frame did not fit the remaining window, counted
+        once per round (see :meth:`GatedEgressPort._select`).  Frames
+        waiting at a closed gate are not counted."""
         return sum(
             port.gate_deferrals
             for port in self._ports.values()

@@ -72,11 +72,25 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+#: (name, labels) -> formatted full name.  A pure function of its key,
+#: so every registry in the process can share it.  Instruments are
+#: labelled by bus, ECU, core, service and fault kind, so the memo holds
+#: one entry per distinct instrument identity, however many worlds,
+#: vehicles or replications the process builds and collects.
+_FULL_NAMES: Dict[Tuple[str, LabelKey], str] = {}
+
+
 def _format_name(name: str, labels: LabelKey) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
+    key = (name, labels)
+    full_name = _FULL_NAMES.get(key)
+    if full_name is None:
+        if labels:
+            inner = ",".join(f"{k}={v}" for k, v in labels)
+            full_name = f"{name}{{{inner}}}"
+        else:
+            full_name = name
+        _FULL_NAMES[key] = full_name
+    return full_name
 
 
 class Instrument:
@@ -392,7 +406,26 @@ class MetricsRegistry:
         restored world's registry into the job context registry.  For an
         order-independent fold (shard aggregation), use :meth:`merge`.
         """
-        self._combine(other, gauge_rule="adopt")
+        if self._instruments:
+            self._combine(other, gauge_rule="adopt")
+            return
+        # into an empty registry every instrument is a fresh copy: build
+        # it flat, as unpickling does, instead of through __init__ and a
+        # fold into zero
+        enabled = self._enabled
+        instruments = self._instruments
+        for key, theirs in other._instruments.items():
+            kind, name, labels = key
+            if kind == "histogram":
+                mine = _histogram(
+                    name, labels, enabled, theirs.growth, theirs.count,
+                    theirs.min, theirs.max, dict(theirs._buckets),
+                    theirs._zero_count, list(theirs._partials),
+                )
+            else:
+                mine = _scalar(type(theirs), name, labels, enabled,
+                               theirs.value)
+            instruments[key] = mine
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one, commutatively.
@@ -457,7 +490,10 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Machine-readable state: ``{kind: {full_name: values}}``."""
-        named = [(i.full_name, i) for i in self._instruments.values()]
+        named = [
+            (_format_name(name, labels), instrument)
+            for (__, name, labels), instrument in self._instruments.items()
+        ]
         named.sort(key=itemgetter(0))
         out: Dict[str, Dict[str, Any]] = {}
         for full_name, instrument in named:

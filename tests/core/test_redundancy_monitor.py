@@ -10,6 +10,7 @@ from repro.core import (
     LoggingService,
     PersistenceService,
     RedundancyManager,
+    ReplicaSet,
     RuntimeMonitor,
 )
 from repro.hw import centralized_topology
@@ -108,6 +109,31 @@ class TestRedundancy:
         sim.run(until=0.2)
         assert replica_set.primary.node_name == "platform_2"
         assert len(replica_set.failovers) == 2
+
+    @pytest.mark.parametrize("heartbeat, sync, cadence", [
+        (0.1, 0.3, 3),      # 0.3 / 0.1 == 2.9999999999999996
+        (0.01, 0.07, 7),    # 0.07 / 0.01 == 7.000000000000001
+        (0.005, 0.05, 10),  # the default periods, an exact quotient
+    ])
+    def test_state_syncs_every_cadence_ticks(self, monkeypatch, heartbeat,
+                                             sync, cadence):
+        sim, platform, _ = replicated_platform()
+        manager = RedundancyManager(platform, heartbeat_period=heartbeat,
+                                    sync_period=sync)
+        synced_ticks = []
+        original = ReplicaSet.sync_state
+
+        def counting_sync(replica_set):
+            synced_ticks.append(round(sim.now / heartbeat))
+            original(replica_set)
+
+        monkeypatch.setattr(ReplicaSet, "sync_state", counting_sync)
+        manager.deploy("ctl", ["platform_0", "platform_1"])
+        # exactly 30 heartbeat ticks
+        sim.run(until=sim.now + 30.5 * heartbeat)
+        assert len(synced_ticks) in (30 // cadence, -(-30 // cadence))
+        assert all(later - earlier == cadence
+                   for earlier, later in zip(synced_ticks, synced_ticks[1:]))
 
     def test_duplicate_deploy_rejected(self):
         sim, platform, manager = replicated_platform()

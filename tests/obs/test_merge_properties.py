@@ -117,9 +117,10 @@ class TestHistogramMerge:
         assert a.quantile(0.95) == whole.quantile(0.95)
 
 
-def registry_from(events):
-    """Build a registry from (kind, name, value) event tuples."""
-    reg = MetricsRegistry()
+def registry_from(events, reg=None):
+    """Build a registry (or extend ``reg``) from (kind, name, value) event
+    tuples."""
+    reg = MetricsRegistry() if reg is None else reg
     for kind, name, value in events:
         if kind == "counter":
             reg.counter(name).inc(int(abs(value)) % 1000)
@@ -177,6 +178,27 @@ class TestRegistryMerge:
         b.gauge("g").set(7.0)
         a.merge(b)
         assert a.gauge("g").value == 7.0
+
+    @given(EVENTS, EVENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_absorb_into_empty_equals_the_general_fold(self, events, later):
+        """Absorbing into an empty registry copies instruments flat; the
+        result must equal folding into it instrument by instrument, and
+        the copies must not share state with the absorbed registry."""
+        source = registry_from(events)
+        source.gauge("neg_zero").set(-0.0)
+        source.histogram("empty")
+        copied = MetricsRegistry()
+        copied.absorb(source)
+        folded = MetricsRegistry()
+        folded._combine(source, gauge_rule="adopt")
+        assert list(copied._instruments) == list(folded._instruments)
+        assert repr(copied.snapshot()) == repr(folded.snapshot())
+        before = repr(source.snapshot())
+        registry_from(later, copied)
+        registry_from(later, folded)
+        assert repr(copied.snapshot()) == repr(folded.snapshot())
+        assert repr(source.snapshot()) == before
 
     def test_absorb_gauge_adopts_latest(self):
         a = MetricsRegistry()
