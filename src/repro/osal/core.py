@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError
-from ..sim import PRIORITY_URGENT, ScheduledCall, Simulator
+from ..sim import PRIORITY_NORMAL, PRIORITY_URGENT, ScheduledCall, Simulator
 from .task import Job, TaskSpec
 
 
@@ -66,6 +66,14 @@ class SchedulingPolicy:
 
 class Core:
     """One processing core of an ECU."""
+
+    #: finish instant of a completion held back from the event queue (see
+    #: :meth:`settle_deferred`), and its reserved sequence number.  Class
+    #: defaults: a core that never holds one back carries neither, so
+    #: building and snapshotting idle cores costs nothing extra.
+    #: ``_due_seq`` is ``None`` until the first one.
+    _due: Optional[float] = None
+    _due_seq: Optional[int] = None
 
     def __init__(
         self,
@@ -124,8 +132,12 @@ class Core:
         """Release ``job`` on this core."""
         if self.halted:
             return
-        self._m_releases.inc()
         sim = self.sim
+        if self._due is not None:
+            # _touch, inlined on the per-job path
+            call = sim.dispatching
+            self.settle_deferred(call.time, call.priority, call.seq)
+        self._m_releases.inc()
         # guarded like every per-event trace: no kwargs dict when off
         if sim.tracer.enabled:
             sim.trace(
@@ -155,6 +167,17 @@ class Core:
                 if quantum is not None and quantum < run_for:
                     self._quantum_call = sim.queue.push(
                         now + quantum, self._quantum_expired)
+                elif (sim.dispatching is not None
+                      and not self._completion_listeners
+                      and not sim.tracer.enabled
+                      and sim.sanitizer is None):
+                    # nothing can observe the finish: hold the completion
+                    # back, keeping its place in the event order, and
+                    # settle it when something next touches the core
+                    if self._due_seq is None:
+                        sim.add_settler(self)  # the first one it holds
+                    self._due = now + run_for
+                    self._due_seq = sim.queue.reserve()
                 else:
                     self._completion = sim.queue.push(
                         now + run_for, self._complete)
@@ -194,10 +217,14 @@ class Core:
 
     def on_completion(self, listener: Callable[[Job], None]) -> None:
         """Register a callback invoked for every finished job."""
+        self._touch()
         self._completion_listeners.append(listener)
 
     def halt(self) -> None:
         """Stop the core (ECU failure): drop all work, accept nothing new."""
+        self._touch()
+        # the dropped job ran until now: charge that time before dropping
+        self._sync_current()
         self.halted = True
         self._cancel_timers()
         self.current = None
@@ -205,15 +232,18 @@ class Core:
 
     def resume(self) -> None:
         """Bring a halted core back (ECU recovery)."""
+        self._touch()
         self.halted = False
         self._reschedule()
 
     def cancel_jobs_of(self, task_name: str) -> int:
         """Remove queued/running jobs of one task (app stop). Returns count."""
+        self._touch()
         removed = [j for j in self.ready if j.task.name == task_name]
         self.ready = [j for j in self.ready if j.task.name != task_name]
         count = len(removed)
         if self.current is not None and self.current.task.name == task_name:
+            self._sync_current()
             self._cancel_timers()
             self.current = None
             count += 1
@@ -223,16 +253,57 @@ class Core:
     @property
     def load_snapshot(self) -> int:
         """Jobs in the system right now (ready + running)."""
+        self._touch()
         return len(self.ready) + (1 if self.current is not None else 0)
 
     def utilization_observed(self) -> float:
         """Fraction of elapsed simulated time the core was busy."""
+        self._touch()
         if self.sim.now == 0:
             return 0.0
         busy = self.busy_time
         if self.current is not None:
             busy += self.sim.now - self._run_started_at
         return busy / self.sim.now
+
+    # -- deferred completion ---------------------------------------------------
+
+    def settle_deferred(self, time: float, priority: int, seq: int) -> bool:
+        """Resolve a held-back completion against the event key
+        ``(time, priority, seq)`` (the kernel's settler protocol).
+
+        If the completion sorts before that key, it would already have
+        been dispatched, and nothing has looked at the core since: finish
+        the job in place, at its due instant, exactly as :meth:`_complete`
+        would have.  Otherwise push the completion event with its
+        reserved sequence number and return ``True``.
+        """
+        due = self._due
+        if due is None:
+            return False
+        self._due = None
+        if due < time or (due == time and (PRIORITY_NORMAL, self._due_seq)
+                          < (priority, seq)):
+            job = self.current
+            self.busy_time += due - self._run_started_at
+            job.remaining = 0.0
+            self.current = None
+            self.sim.events_counter.inc()
+            self._finish_job(job, due)
+            # no listener ran and the ready list is empty while a
+            # completion is held back: what _complete does in that case
+            self.policy.idle(due)
+            return False
+        self._completion = self.sim.queue.push(
+            due, self._complete, (), PRIORITY_NORMAL, self._due_seq)
+        return True
+
+    def _touch(self) -> None:
+        """Resolve a held-back completion against the event in dispatch,
+        before anything reads or changes the core."""
+        if self._due is not None:
+            call = self.sim.dispatching
+            self.settle_deferred(call.time, call.priority, call.seq)
 
     # -- engine ----------------------------------------------------------------
 
@@ -332,6 +403,7 @@ class Core:
             self._quantum_call = None
 
     def _unpark(self) -> None:
+        self._touch()
         self._parked_until = None
         if not self.halted and self.current is None:
             self._reschedule()
@@ -349,7 +421,7 @@ class Core:
             self._quantum_call = None
         self.current = None
         if job.remaining <= 1e-12:
-            self._finish_job(job)
+            self._finish_job(job, self.sim.now)
         else:
             self.ready.append(job)
             self.policy.on_quantum_expired(job, self.ready)
@@ -366,17 +438,16 @@ class Core:
             completion.pooled = True
             self._completion = None
         self.current = None
-        self._finish_job(job)
+        now = self.sim.now
+        self._finish_job(job, now)
         if self.current is None and not self.ready and not self.halted:
             # nothing left to choose from (a completion listener may have
             # released or halted): _reschedule would only run pick([])
-            self.policy.idle(self.sim.now)
+            self.policy.idle(now)
         else:
             self._reschedule()
 
-    def _finish_job(self, job: Job) -> None:
-        sim = self.sim
-        now = sim.now
+    def _finish_job(self, job: Job, now: float) -> None:
         job.finish_time = now
         completed = self.completed_jobs
         completed.append(job)
@@ -389,6 +460,7 @@ class Core:
         self._m_response.observe(response)
         if missed:
             self._m_misses.inc()
+        sim = self.sim
         if sim.tracer.enabled:
             sim.trace(
                 "os.done",
@@ -519,6 +591,7 @@ class PeriodicSource:
 
     def finished_jobs(self) -> List[Job]:
         """Finished jobs in the retained window (trimming drops oldest)."""
+        self.core._touch()
         return [j for j in self.jobs if j.finished]
 
     def miss_count(self) -> int:
@@ -529,6 +602,7 @@ class PeriodicSource:
 
     def unfinished_past_deadline(self, now: float) -> int:
         """Jobs still incomplete although their deadline has passed."""
+        self.core._touch()
         return sum(
             1
             for j in self.jobs

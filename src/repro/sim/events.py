@@ -212,15 +212,18 @@ class EventQueue:
         callback: Callable[..., Any],
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
+        seq: Optional[int] = None,
     ) -> ScheduledCall:
         """Insert a call at ``time`` and return a cancellable handle.
 
         The call comes from the free list when one is there.  A holder
         that drops the handle sets :attr:`ScheduledCall.pooled` first, so
         the queue can reuse it once it has fired or its cancelled entry
-        has left the heap.
+        has left the heap.  ``seq`` is a number taken earlier with
+        :meth:`reserve`; by default the call takes the next one.
         """
-        seq = next(self._counter)
+        if seq is None:
+            seq = next(self._counter)
         pool = self._pool
         if pool:
             call = pool.pop()
@@ -243,6 +246,16 @@ class EventQueue:
             self.pool_creations += 1
         heapq.heappush(self._heap, entry)
         return call
+
+    def reserve(self) -> int:
+        """Take the sequence number a push at this point would get.
+
+        An event held back from the heap keeps its place among equal
+        ``(time, priority)`` keys with it, and a later
+        ``push(..., seq=reserved)`` inserts it exactly where it would
+        have been.
+        """
+        return next(self._counter)
 
     def push_pooled(
         self,

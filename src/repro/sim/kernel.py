@@ -301,10 +301,17 @@ class Simulator:
         #: opt-in :class:`repro.analysis.sanitizer.KernelSanitizer`;
         #: ``None`` keeps the hot path at a single branch per event
         self.sanitizer = None
-        self._m_events = self.metrics.counter("sim.events")
+        #: the ``sim.events`` counter.  A settler that performs a held
+        #: event in place counts it here, as its dispatch would have
+        self.events_counter = self.metrics.counter("sim.events")
         self._m_crashes = self.metrics.counter("sim.crashes")
         self._crashed_processes: List[Process] = []
         self._running = False
+        #: the call :meth:`run` is dispatching; ``None`` outside ``run()``
+        self.dispatching: Optional[ScheduledCall] = None
+        #: objects that may hold an event back from the heap (see
+        #: :meth:`add_settler`)
+        self._settlers: List[Any] = []
         #: components registered for post-fork lookup (see :meth:`adopt`)
         self.world: Dict[str, Any] = {}
         #: immutable structure shared by reference across forks
@@ -352,6 +359,22 @@ class Simulator:
         shared = self._shared
         for obj in objs:
             shared.append(obj)
+
+    def add_settler(self, obj: Any) -> None:
+        """Register an object that may hold one of its events back.
+
+        During :meth:`run` such an object may keep an event it would
+        have pushed, together with a sequence number taken with
+        :meth:`EventQueue.reserve`, as long as nothing can observe the
+        event.  It resolves the event itself when anything touches it,
+        and :meth:`run` resolves it before it returns.  ``obj`` provides
+        ``settle_deferred(time, priority, seq) -> bool``: it performs
+        the held event in place if the event sorts before the key
+        ``(time, priority, seq)``, and otherwise pushes it with its
+        reserved number and returns ``True``.  Register once, before the
+        first event the object holds back.
+        """
+        self._settlers.append(obj)
 
     def next_session_id(self) -> int:
         """Allocate a sim-local middleware session id."""
@@ -471,7 +494,11 @@ class Simulator:
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
-        """Execute the single next event."""
+        """Execute the single next event.
+
+        ``step`` leaves :attr:`dispatching` unset, so no settler (see
+        :meth:`add_settler`) holds an event back while stepping.
+        """
         call = self.queue.pop()
         t = call.time
         if t < self.now:
@@ -488,7 +515,7 @@ class Simulator:
                 head = heap[0]
                 if head[0] == t and head[1] == call.priority:
                     san.on_tie(call, head[3])
-        m = self._m_events
+        m = self.events_counter
         if m._enabled:
             m.inc()
         profiler = self.profiler
@@ -514,6 +541,11 @@ class Simulator:
         heads are skipped inline and pooled calls are recycled right
         after their callback returns, so the steady-state path performs
         one heap pop, one dispatch and zero allocations per event.
+
+        Events a settler (:meth:`add_settler`) held back are resolved
+        before ``run`` returns: in place if they sort before the last
+        dispatched event, otherwise pushed and dispatched like any other
+        when due by ``until``.  Nothing is held back across calls.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -521,17 +553,19 @@ class Simulator:
         queue = self.queue
         heap = queue._heap  # queue mutates this list strictly in place
         pool_append = queue._pool.append  # the free list is never rebound
-        m = self._m_events
+        m = self.events_counter
         try:
             while True:
                 while heap and heap[0][3].cancelled:
                     queue._discard(heappop(heap))
-                if not heap:
-                    break
-                t = heap[0][0]
-                if until is not None and t > until:
+                if not heap or (until is not None and heap[0][0] > until):
+                    # resolve what settlers held back; a pushed
+                    # remainder may still be due by ``until``
+                    if self._settle_deferred():
+                        continue
                     break
                 entry = heappop(heap)
+                t = entry[0]
                 call = entry[3]
                 # the entry stays with the call for reuse but no longer
                 # points back at it: a dropped handle dies by refcount
@@ -540,6 +574,7 @@ class Simulator:
                 if t < self.now:
                     raise SimulationError("event queue time went backwards")
                 self.now = t
+                self.dispatching = call
                 san = self.sanitizer
                 if san is not None:
                     san._current_event = call
@@ -570,9 +605,30 @@ class Simulator:
                     self._raise_crashes()
             if until is not None and until > self.now:
                 self.now = until
+        except BaseException:
+            # resolve what is held against the event that raised
+            self._settle_deferred()
+            raise
         finally:
+            self.dispatching = None
             self._running = False
         self._raise_crashes()
+
+    def _settle_deferred(self) -> bool:
+        """Resolve every held-back event against the last dispatched
+        call; ``True`` if any of them was pushed onto the heap."""
+        call = self.dispatching
+        if call is None:
+            return False
+        # read the key and let go of the call first: a settler's push
+        # may reuse it from the free list
+        t, p, s = call.time, call.priority, call.seq
+        self.dispatching = None
+        pushed = False
+        for settler in self._settlers:
+            if settler.settle_deferred(t, p, s):
+                pushed = True
+        return pushed
 
     def _raise_crashes(self) -> None:
         if not self._crashed_processes:

@@ -60,7 +60,7 @@ class GeneralPathCore(Core):
             completion.pooled = True
             self._completion = None
         self.current = None
-        self._finish_job(job)
+        self._finish_job(job, self.sim.now)
         self._reschedule()
 
 

@@ -489,7 +489,8 @@ class TestPinnedSchedules:
             (1, 0.0, 0.002, 0), (2, 0.01, None, 0), (3, None, None, 0),
             (4, 0.03, 0.032, 0), (5, 0.04, 0.042, 0),
         ]
-        assert round(core.busy_time, 12) == 0.006
+        # jobs 1, 4 and 5 ran 2 ms each, and job 2 ran 1 ms before the halt
+        assert round(core.busy_time, 12) == 0.007
 
     def test_release_at_completion_instant(self):
         # "hi" is released (urgent priority) at 4 ms, the instant "lo"
