@@ -52,7 +52,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 import _legacy_kernel  # noqa: E402
 
-from repro.core.campaign import CampaignSpec, sweep_campaigns  # noqa: E402
+from repro.core.campaign import CampaignSpec  # noqa: E402
 from repro.dse import MappingProblem  # noqa: E402
 from repro.dse.problem import Evaluation  # noqa: E402
 from repro.faults import FaultCampaignSpec, FaultPlan, FaultSpec  # noqa: E402
@@ -61,6 +61,7 @@ from repro.faults.campaign import (  # noqa: E402
     run_fault_campaign,
     start_chaos_workload,
 )
+from repro.fleet import sweep_campaigns  # noqa: E402
 from repro.hw import centralized_topology  # noqa: E402
 from repro.model.verification import estimate_latency, verify  # noqa: E402
 from repro.osal.analysis import scaled_utilization  # noqa: E402

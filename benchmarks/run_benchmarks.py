@@ -427,7 +427,8 @@ def bench_exec_dse(executor, *, smoke: bool, repeats: int) -> dict:
 
 
 def bench_exec_campaign(executor, *, smoke: bool, repeats: int) -> dict:
-    from repro.core import CampaignSpec, sweep_campaigns
+    from repro.core import CampaignSpec
+    from repro.fleet import sweep_campaigns
 
     replications = 4 if smoke else 8
     spec = CampaignSpec(

@@ -200,7 +200,7 @@ class ModuleGraph:
     """Import graph over a set of scanned modules.
 
     Edges are resolved against the scanned module set: ``from repro.exec
-    import jobs`` records ``repro.exec`` *and* — when ``repro.exec.jobs``
+    import pool`` records ``repro.exec`` *and* — when ``repro.exec.pool``
     is a scanned module — the submodule, so layering sees through
     package-attribute imports.
     """

@@ -9,17 +9,14 @@ cloud-based schedule management.
 from .admission import AdmissionController, AdmissionDecision
 from .application import AppInstance, AppState
 from .campaign import (
-    CampaignJob,
     CampaignManager,
     CampaignOutcome,
     CampaignResult,
     CampaignSpec,
     Fleet,
-    SweepResult,
     Vehicle,
     WaveResult,
     plan_waves,
-    sweep_campaigns,
 )
 from .bus_admission import (
     BUS_HEADROOM_LIMIT,
@@ -80,19 +77,16 @@ __all__ = [
     "BackendLink",
     "BusAdmissionDecision",
     "BusLoadTracker",
-    "CampaignJob",
     "CampaignManager",
     "CampaignOutcome",
     "CampaignResult",
     "CampaignSpec",
     "Fleet",
-    "SweepResult",
     "Vehicle",
     "WaveResult",
     "admit_communication",
     "offered_load_of",
     "plan_waves",
-    "sweep_campaigns",
     "ComputeSite",
     "DIAGNOSIS_SERVICE_ID",
     "DegradationController",

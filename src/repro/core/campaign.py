@@ -16,10 +16,9 @@ crosses the threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import UpdateError
-from ..jobs import JobContext, SimJob
 from ..hw.ecu import CryptoCapability, OsClass
 from ..hw.topology import BusSpec, EcuSpec, Topology
 from ..model.applications import AppModel
@@ -30,9 +29,6 @@ from ..sim import Simulator
 from .monitor import BackendLink, RuntimeMonitor
 from .platform import DynamicPlatform
 from .update import UpdateOrchestrator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.pool import ParallelExecutor
 
 
 def _vehicle_topology(index: int) -> Topology:
@@ -316,7 +312,7 @@ class CampaignManager:
             sim.run(until=sim.now + 0.5)
 
 
-# -- multi-replication campaign sweeps (repro.exec fan-out site) ---------
+# -- one sweep replication (fanned out by repro.fleet.sweep) ------------
 
 
 @dataclass(frozen=True)
@@ -407,14 +403,23 @@ def build_fleet_base(sim: Simulator, spec: CampaignSpec) -> Dict[str, object]:
     return base
 
 
-def _finish_campaign(
+def replicate_rollout(
+    sim: Simulator,
     base: Dict[str, object],
     spec: CampaignSpec,
-    target_wcet: float,
     job_id: str,
-    ctx: JobContext,
+    rng,
 ) -> CampaignOutcome:
-    """Roll out the jittered target version on a built base and report."""
+    """Roll a jittered target version out on a built base and report.
+
+    One sweep replication after :func:`build_fleet_base`: the only
+    RNG-consuming stage, drawing the target wcet jitter from ``rng``.
+    """
+    target_wcet = spec.target_wcet
+    if spec.target_wcet_jitter:
+        target_wcet += rng.uniform(
+            "campaign.wcet_jitter", 0.0, spec.target_wcet_jitter
+        )
     fleet: Fleet = base["fleet"]
     old_app: AppModel = base["old_app"]
     manager = CampaignManager(
@@ -430,11 +435,11 @@ def _finish_campaign(
         "_v2",
     )
     result = manager.rollout(old_app, new_app)
-    updated = ctx.metrics.counter("campaign.vehicles_updated")
-    updated.inc(result.vehicles_updated)
-    regressed = ctx.metrics.counter("campaign.regressions")
-    regressed.inc(sum(w.regressions for w in result.waves))
-    aborted = ctx.metrics.counter("campaign.aborted")
+    metrics = sim.metrics
+    metrics.counter("campaign.vehicles_updated").inc(result.vehicles_updated)
+    regressions = sum(w.regressions for w in result.waves)
+    metrics.counter("campaign.regressions").inc(regressions)
+    aborted = metrics.counter("campaign.aborted")
     if result.aborted:
         aborted.inc()
     versions = tuple(sorted(
@@ -448,192 +453,6 @@ def _finish_campaign(
         rolled_back=result.rolled_back,
         vehicles_updated=result.vehicles_updated,
         wave_count=len(result.waves),
-        regressions=sum(w.regressions for w in result.waves),
+        regressions=regressions,
         final_versions=versions,
     )
-
-
-def _jittered_wcet(spec: CampaignSpec, ctx: JobContext) -> float:
-    target_wcet = spec.target_wcet
-    if spec.target_wcet_jitter:
-        target_wcet += ctx.rng().uniform(
-            "campaign.wcet_jitter", 0.0, spec.target_wcet_jitter
-        )
-    return target_wcet
-
-
-class CampaignJob(SimJob):
-    """One fleet-campaign replication as a :class:`~repro.exec.SimJob`.
-
-    Builds simulator, trust store, fleet and campaign manager fresh in
-    the worker; all replication-specific randomness (the wcet jitter)
-    comes from the job context's derived seed, so a sweep's outcomes are
-    independent of worker count and completion order.
-    """
-
-    def __init__(self, job_id: str, spec: CampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> CampaignOutcome:
-        spec = self.spec
-        target_wcet = _jittered_wcet(spec, ctx)
-        sim = Simulator(metrics=ctx.metrics)
-        base = build_fleet_base(sim, spec)
-        return _finish_campaign(base, spec, target_wcet, self.job_id, ctx)
-
-
-class ForkedCampaignJob(SimJob):
-    """One fleet-campaign replication cloned from a pre-built base world.
-
-    The sweep builds the deployed-and-settled fleet once, snapshots it,
-    and ships the snapshot per worker as shared context; each replication
-    restores a private copy and runs only the rollout with its own
-    jittered target wcet.  Outcomes are byte-identical to
-    :class:`CampaignJob` because the base construction is RNG-free.
-    """
-
-    def __init__(self, job_id: str, spec: CampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> CampaignOutcome:
-        snap = ctx.shared
-        if snap is None:
-            raise UpdateError(
-                "forked campaign job needs a SimSnapshot as shared context"
-            )
-        spec = self.spec
-        target_wcet = _jittered_wcet(spec, ctx)
-        sim = snap.restore()
-        base = sim.world["campaign"]
-        outcome = _finish_campaign(base, spec, target_wcet, self.job_id, ctx)
-        # the restored world counted into its own (forked) registry; fold
-        # it into the job registry so digests match the rebuild path
-        ctx.metrics.absorb(sim.metrics)
-        return outcome
-
-
-def build_sweep_snapshot(spec: CampaignSpec):
-    """Build the fleet base once and return its reusable snapshot.
-
-    The base world gets its own enabled metrics registry: forks inherit
-    it (base counts included), keep counting through the rollout, and
-    the job folds the final registry into the job context — so the
-    merged digest is identical to the rebuild path's.
-    """
-    from ..obs.metrics import MetricsRegistry
-
-    sim = Simulator(metrics=MetricsRegistry())
-    build_fleet_base(sim, spec)
-    return sim.snapshot()
-
-
-@dataclass
-class SweepResult:
-    """Aggregate outcome of a multi-replication campaign sweep."""
-
-    outcomes: List[CampaignOutcome]
-    digest: Dict
-
-    @property
-    def aborted_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.aborted)
-
-    @property
-    def completed_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.completed)
-
-
-def sweep_campaigns(
-    spec: CampaignSpec,
-    *,
-    replications: int,
-    executor: Optional["ParallelExecutor"] = None,
-    master_seed: Optional[int] = None,
-    fork: bool = True,
-    checkpoint=None,
-    fault_points=None,
-) -> SweepResult:
-    """Run ``replications`` independent campaign replications.
-
-    With an executor the replications fan out across its warm worker
-    pool; without one they run inline through the shared serial
-    executor.  Either way, replication ``i`` is seeded from
-    ``master_seed`` (defaulting to the executor's own master seed when
-    one is given, else ``0``) and its id alone, so the outcome list is
-    byte-identical for any worker count.
-
-    With ``fork=True`` (the default) the deployed-and-settled fleet is
-    built once, snapshotted and forked per replication instead of being
-    rebuilt in every job — same outcomes, a fraction of the time.
-    ``fork=False`` keeps the rebuild path for equivalence checks.
-
-    ``checkpoint`` (a :class:`repro.exec.recovery.CheckpointSpec`)
-    persists each completed replication atomically; an interrupted
-    sweep resumes via :func:`resume_sweep` /
-    :func:`repro.exec.recovery.resume_campaign`, re-running only the
-    missing replications with their original seeds.
-    """
-    if replications < 1:
-        raise UpdateError("sweep needs at least one replication")
-    context = None
-    if fork:
-        context = build_sweep_snapshot(spec)
-        jobs: List[SimJob] = [
-            ForkedCampaignJob(f"campaign.rep{i}", spec)
-            for i in range(replications)
-        ]
-    else:
-        jobs = [
-            CampaignJob(f"campaign.rep{i}", spec)
-            for i in range(replications)
-        ]
-    if master_seed is not None:
-        seed = master_seed
-    elif executor is not None:
-        seed = executor.master_seed
-    else:
-        seed = 0
-    if executor is None:
-        # default executor is run-time dispatch into the layer above
-        from ..exec.pool import get_inline_executor  # repro: allow[ARCH603]
-
-        executor = get_inline_executor()
-    store = None
-    if checkpoint is not None:
-        # checkpointing re-enters exec on demand
-        from ..exec.recovery import CheckpointStore  # repro: allow[ARCH603]
-
-        store = CheckpointStore(
-            checkpoint, kind="campaign_sweep",
-            plan=(spec, replications, seed),
-            meta={"every_n_shards": checkpoint.every_n_shards},
-            fault_points=fault_points,
-        )
-    # checkpointed dispatch re-enters exec at run time
-    from ..exec.recovery import run_jobs_checkpointed  # repro: allow[ARCH603]
-
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=seed, context=context,
-        store=store,
-    )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise UpdateError(
-            f"{len(failed)}/{replications} campaign replications failed "
-            f"({detail})"
-        )
-    return SweepResult(outcomes=report.values, digest=report.merged_digest())
-
-
-def resume_sweep(directory: str, *,
-                 executor: Optional["ParallelExecutor"] = None,
-                 fork: bool = True) -> SweepResult:
-    """Resume an interrupted checkpointed campaign sweep (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    # resume delegates upward to the recovery layer at run time
-    from ..exec.recovery import resume_campaign  # repro: allow[ARCH603]
-
-    return resume_campaign(directory, executor=executor, fork=fork)

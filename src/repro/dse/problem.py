@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..exec.jobs import JobContext, SimJob
+from ..jobs import JobContext, SimJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.pool import ParallelExecutor

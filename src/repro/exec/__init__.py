@@ -18,13 +18,15 @@ worker processes without ever changing results:
   instead of paying spawn/import per call;
 * :func:`derive_job_seed` — the seed contract that makes parallel runs
   byte-identical to serial ones;
-* :mod:`repro.exec.recovery` — durable checkpoint/resume of sharded
-  campaigns (:class:`CheckpointSpec`, :func:`resume_campaign`) and the
-  seeded executor chaos harness (:class:`ExecChaos`) that proves
-  recovery under worker kills and injected crashes.
+* :mod:`repro.exec.recovery` — the campaign spine every campaign runs
+  on (its shared job tail, one replication job and the resume
+  registry), durable checkpoint/resume of sharded campaigns
+  (:class:`CheckpointSpec`, :func:`resume_campaign`) and the seeded
+  executor chaos harness (:class:`ExecChaos`) that proves recovery
+  under worker kills and injected crashes.
 """
 
-from .jobs import (
+from ..jobs import (
     BatchReport,
     FunctionJob,
     JobContext,

@@ -43,11 +43,14 @@ import pickle
 import re
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
+from ..jobs import BatchReport, JobContext, JobResult, SimJob, derive_job_seed
+from ..obs.metrics import MetricsRegistry
+from ..sim import Simulator
 from ..sim.rng import RngStreams
-from .jobs import BatchReport, JobResult, SimJob, derive_job_seed
+from .pool import _DIE, get_inline_executor
 
 #: on-disk layout version; bump on any incompatible format change
 CHECKPOINT_SCHEMA = 1
@@ -415,7 +418,165 @@ def run_jobs_checkpointed(
     return report
 
 
+# -- the campaign spine --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReplicationKind:
+    """One kind of replicated campaign, as the spine runs it.
+
+    ``build_base(sim, spec)`` builds the deterministic, RNG-free world
+    every replication shares and registers its handles under
+    ``sim.world[world]``.  ``replicate(sim, base, spec, job_id, rng)``
+    runs one replication on that base and returns its picklable outcome,
+    counting into ``sim.metrics``.  Replication ``i`` is the job
+    ``{prefix}.rep{i}``; its checkpoints carry ``name`` as their kind,
+    and a failed replication raises ``error``.
+    """
+
+    name: str
+    prefix: str
+    world: str
+    build_base: Callable[..., Any]
+    replicate: Callable[..., Any]
+    error: type
+
+
+class ReplicationJob(SimJob):
+    """One replication of a :class:`ReplicationKind`.
+
+    With a base snapshot as ``ctx.shared`` the job forks it; without one
+    it rebuilds the base on ``Simulator(metrics=ctx.metrics)``.  Rebuild
+    is the same code with the snapshot step skipped, and because the
+    base is RNG-free both paths give byte-identical outcomes and digests.
+    """
+
+    def __init__(self, kind: ReplicationKind, job_id: str, spec: Any) -> None:
+        self.kind = kind
+        self.job_id = job_id
+        self.spec = spec
+
+    def run(self, ctx: JobContext) -> Any:
+        kind = self.kind
+        snap = ctx.shared
+        if snap is None:
+            sim = Simulator(metrics=ctx.metrics)
+            base = kind.build_base(sim, self.spec)
+        else:
+            sim = snap.restore()
+            base = sim.world[kind.world]
+        outcome = kind.replicate(sim, base, self.spec, self.job_id, ctx.rng())
+        if snap is not None:
+            # the fork counted into its own registry (base counts
+            # included); the job registry is still empty here, so this
+            # is the flat-copy absorb
+            ctx.metrics.absorb(sim.metrics)
+        return outcome
+
+
+def base_snapshot(kind: ReplicationKind, spec: Any) -> Any:
+    """Build ``kind``'s base world once and return its snapshot.
+
+    The base world gets its own enabled metrics registry: forks inherit
+    it with the base counts in and keep counting through the
+    replication, so the merged digest equals the rebuild path's.
+    """
+    sim = Simulator(metrics=MetricsRegistry())
+    kind.build_base(sim, spec)
+    return sim.snapshot()
+
+
+def resolve_seed(master_seed: Optional[int], executor: Any) -> int:
+    """The given seed, else the executor's, else ``0``."""
+    if master_seed is not None:
+        return master_seed
+    return executor.master_seed if executor is not None else 0
+
+
+def open_store(checkpoint: Optional[CheckpointSpec], kind: str, plan: Any,
+               fault_points: Optional[FaultPoints] = None
+               ) -> Optional[CheckpointStore]:
+    """The campaign's checkpoint store (``None`` without a checkpoint)."""
+    if checkpoint is None:
+        return None
+    return CheckpointStore(
+        checkpoint, kind=kind, plan=plan,
+        meta={"every_n_shards": checkpoint.every_n_shards},
+        fault_points=fault_points,
+    )
+
+
+def run_campaign_jobs(
+    jobs: Sequence[SimJob],
+    *,
+    executor: Any = None,
+    master_seed: Optional[int] = None,
+    context: Any = None,
+    store: Optional[CheckpointStore] = None,
+    error: type = ExecutionError,
+    what: str = "jobs",
+) -> BatchReport:
+    """The tail every campaign runs its jobs through.
+
+    Resolves the seed (:func:`resolve_seed`), falls back to the shared
+    inline executor, runs through :func:`run_jobs_checkpointed` and
+    raises ``error`` naming the first failures if any job failed.
+    """
+    seed = resolve_seed(master_seed, executor)
+    if executor is None:
+        executor = get_inline_executor()
+    report = run_jobs_checkpointed(
+        jobs, executor=executor, master_seed=seed, context=context,
+        store=store,
+    )
+    failed = [r for r in report.results if not r.ok]
+    if failed:
+        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
+        raise error(
+            f"{len(failed)}/{len(report.results)} {what} failed ({detail})"
+        )
+    return report
+
+
+def run_replications(
+    kind: ReplicationKind,
+    spec: Any,
+    *,
+    replications: int,
+    executor: Any = None,
+    master_seed: Optional[int] = None,
+    fork: bool = True,
+    checkpoint: Optional[CheckpointSpec] = None,
+    fault_points: Optional[FaultPoints] = None,
+) -> BatchReport:
+    """Run ``replications`` independent replications of ``kind``.
+
+    Replication ``i`` is seeded from the resolved master seed and its
+    job id alone, so outcomes are byte-identical for any worker count.
+    With ``fork`` the base world is built once and forked per
+    replication; without, every replication rebuilds it.  The
+    checkpoint plan is ``(spec, replications, seed)``, so
+    :func:`resume_campaign` can rerun the campaign from its directory.
+    """
+    if replications < 1:
+        raise kind.error(f"{kind.name} needs at least one replication")
+    seed = resolve_seed(master_seed, executor)
+    store = open_store(checkpoint, kind.name, (spec, replications, seed),
+                       fault_points)
+    jobs = [ReplicationJob(kind, f"{kind.prefix}.rep{i}", spec)
+            for i in range(replications)]
+    return run_campaign_jobs(
+        jobs, executor=executor, master_seed=seed,
+        context=base_snapshot(kind, spec) if fork else None, store=store,
+        error=kind.error, what=f"{kind.prefix} replications",
+    )
+
+
 # -- resume --------------------------------------------------------------
+
+#: checkpoint kind -> ``rerun(plan, *, executor, fork, checkpoint,
+#: fault_points)``; every campaign module registers its kind at import
+KINDS: Dict[str, Callable[..., Any]] = {}
 
 
 def resume_campaign(
@@ -435,50 +596,26 @@ def resume_campaign(
     rollback is re-derived deterministically — so the resumed campaign
     digest is byte-identical to an uninterrupted run's.
 
-    Dispatches on the manifest's ``kind``: ``fleet_campaign``
-    (:class:`repro.fleet.service.FleetCampaign`), ``fault_campaign``
-    (:func:`repro.faults.campaign.run_fault_campaign`) and
-    ``campaign_sweep`` (:func:`repro.core.campaign.sweep_campaigns`).
+    The manifest's ``kind`` names the rerun function in :data:`KINDS`:
+    ``fleet_campaign`` (:func:`repro.fleet.service.run_fleet_campaign`),
+    ``fault_campaign`` (:func:`repro.faults.campaign.run_fault_campaign`)
+    and ``campaign_sweep`` (:func:`repro.fleet.sweep.sweep_campaigns`).
     """
     manifest = load_manifest(directory)
     kind = manifest["kind"]
+    rerun = KINDS.get(kind)
+    if rerun is None:
+        raise ExecutionError(
+            f"cannot resume checkpoint of unknown kind {kind!r} "
+            f"(directory {directory!r})"
+        )
     plan = pickle.loads(bytes.fromhex(manifest["plan_hex"]))
     meta = manifest.get("meta") or {}
-    every_n = int(meta.get("every_n_shards", 1))
-    checkpoint = CheckpointSpec(dir=directory, every_n_shards=every_n)
-    if kind == "fleet_campaign":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..fleet.service import FleetCampaign  # repro: allow[ARCH603]
-
-        campaign = FleetCampaign(
-            plan, executor=executor, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-        return campaign.run()
-    if kind == "fault_campaign":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..faults.campaign import run_fault_campaign  # repro: allow[ARCH603]
-
-        spec, replications, master_seed = plan
-        return run_fault_campaign(
-            spec, replications=replications, executor=executor,
-            master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-    if kind == "campaign_sweep":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..core.campaign import sweep_campaigns  # repro: allow[ARCH603]
-
-        spec, replications, master_seed = plan
-        return sweep_campaigns(
-            spec, replications=replications, executor=executor,
-            master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-    raise ExecutionError(
-        f"cannot resume checkpoint of unknown kind {kind!r} "
-        f"(directory {directory!r})"
+    checkpoint = CheckpointSpec(
+        dir=directory, every_n_shards=int(meta.get("every_n_shards", 1))
     )
+    return rerun(plan, executor=executor, fork=fork, checkpoint=checkpoint,
+                 fault_points=fault_points)
 
 
 # -- executor-level chaos ------------------------------------------------
@@ -527,8 +664,6 @@ class ExecChaos:
             except (ProcessLookupError, OSError):  # pragma: no cover
                 pass
         if self.eof_every and self.chunks % self.eof_every == 0:
-            from .pool import _DIE
-
             try:
                 handle.conn.send_bytes(_DIE)
                 self.eofs += 1
@@ -538,13 +673,21 @@ class ExecChaos:
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
+    "KINDS",
     "CheckpointCrash",
     "CheckpointSpec",
     "CheckpointStore",
     "ExecChaos",
     "FaultPoints",
+    "ReplicationJob",
+    "ReplicationKind",
+    "base_snapshot",
     "load_manifest",
+    "open_store",
     "plan_key",
+    "resolve_seed",
     "resume_campaign",
+    "run_campaign_jobs",
     "run_jobs_checkpointed",
+    "run_replications",
 ]

@@ -13,7 +13,6 @@ faults, clock drift — into declarative, seeded, repeatable experiments:
 """
 
 from .campaign import (
-    FaultCampaignJob,
     FaultCampaignOutcome,
     FaultCampaignResult,
     FaultCampaignSpec,
@@ -43,7 +42,6 @@ from .spec import (
 __all__ = [
     "FAULT_KINDS",
     "FRAME_KINDS",
-    "FaultCampaignJob",
     "FaultCampaignOutcome",
     "FaultCampaignResult",
     "FaultCampaignSpec",

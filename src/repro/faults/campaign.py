@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError
-from ..exec.jobs import JobContext, SimJob
+from ..exec.recovery import (
+    KINDS,
+    ReplicationKind,
+    base_snapshot,
+    resume_campaign,
+    run_replications,
+)
 from ..hw.catalog import platform_computer
 from ..hw.topology import BusSpec, Topology
 from ..middleware.endpoint import QOS_CONTROL
@@ -278,8 +284,8 @@ def build_chaos_scenario(
 ) -> Dict[str, object]:
     """Assemble the full chaos scenario on ``sim`` (base + workload).
 
-    Shared by :class:`FaultCampaignJob`, the examples and the fault-soak
-    benchmark, so every consumer exercises the identical scenario.
+    Shared by the examples and the fault-soak benchmark, so every
+    consumer exercises the identical scenario.
     """
     return start_chaos_workload(sim, build_chaos_base(sim, spec), spec, rng)
 
@@ -312,80 +318,40 @@ def campaign_outcome(
     )
 
 
-class FaultCampaignJob(SimJob):
-    """One chaos replication as a :class:`~repro.exec.SimJob`.
+def replicate_chaos(
+    sim: Simulator,
+    base: Dict[str, object],
+    spec: FaultCampaignSpec,
+    job_id: str,
+    rng,
+) -> FaultCampaignOutcome:
+    """One chaos replication on a built base: arm, soak, condense.
 
-    Everything — simulator, platform, injector RNG — is built fresh in
-    the worker from the picklable spec and the job's derived seed.
+    Counts into ``sim.metrics``, which on a fork is the forked world's
+    registry — the job folds it into its still-empty registry afterwards.
     """
-
-    def __init__(self, job_id: str, spec: FaultCampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> FaultCampaignOutcome:
-        sim = Simulator(metrics=ctx.metrics)
-        scenario = build_chaos_scenario(sim, self.spec, ctx.rng())
-        sim.run(until=sim.now + self.spec.soak_time)
-        outcome = campaign_outcome(self.job_id, scenario)
-        ctx.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
-        ctx.metrics.counter("faults.campaign.rpc_failures").inc(
-            outcome.rpc_failures
-        )
-        return outcome
+    start_chaos_workload(sim, base, spec, rng)
+    sim.run(until=sim.now + spec.soak_time)
+    outcome = campaign_outcome(job_id, base)
+    sim.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
+    sim.metrics.counter("faults.campaign.rpc_failures").inc(
+        outcome.rpc_failures
+    )
+    return outcome
 
 
-class ForkedFaultCampaignJob(SimJob):
-    """One chaos replication that clones a pre-built base world.
-
-    The campaign builds the RNG-free chaos base once, snapshots it, and
-    ships the snapshot to every worker as shared context (pickled once
-    per worker, not per job).  Each replication restores a private copy
-    — platform installed, supervision armed, ``sim.now`` at the settle
-    point — and only arms its own caller and fault plan.  Because base
-    construction is deterministic and all id sequences are sim-local,
-    the outcome is byte-identical to :class:`FaultCampaignJob`'s
-    rebuild-from-scratch path.
-    """
-
-    def __init__(self, job_id: str, spec: FaultCampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> FaultCampaignOutcome:
-        snap = ctx.shared
-        if snap is None:
-            raise ExecutionError(
-                "forked campaign job needs a SimSnapshot as shared context"
-            )
-        sim = snap.restore()
-        base = sim.world["chaos"]
-        start_chaos_workload(sim, base, self.spec, ctx.rng())
-        sim.run(until=sim.now + self.spec.soak_time)
-        outcome = campaign_outcome(self.job_id, base)
-        # the restored world counted into its own (forked) registry; fold
-        # it into the job registry so digests match the rebuild path
-        ctx.metrics.absorb(sim.metrics)
-        ctx.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
-        ctx.metrics.counter("faults.campaign.rpc_failures").inc(
-            outcome.rpc_failures
-        )
-        return outcome
+#: the chaos campaign as a spine kind: job ids ``faults.rep{i}``,
+#: checkpoints of kind ``fault_campaign``
+CHAOS = ReplicationKind(
+    name="fault_campaign", prefix="faults", world="chaos",
+    build_base=build_chaos_base, replicate=replicate_chaos,
+    error=ExecutionError,
+)
 
 
 def build_campaign_snapshot(spec: FaultCampaignSpec):
-    """Build the chaos base once and return its reusable snapshot.
-
-    The base world gets its own enabled metrics registry: forks inherit
-    it (with the base counts already in), keep counting through their
-    soak, and the job folds the final registry into the job context — so
-    the merged digest is identical to the rebuild path's.
-    """
-    from ..obs.metrics import MetricsRegistry
-
-    sim = Simulator(metrics=MetricsRegistry())
-    build_chaos_base(sim, spec)
-    return sim.snapshot()
+    """Build the chaos base once and return its reusable snapshot."""
+    return base_snapshot(CHAOS, spec)
 
 
 @dataclass
@@ -438,55 +404,23 @@ def run_fault_campaign(
     threads injected checkpoint-write crashes through the store (chaos
     testing only).
     """
-    if replications < 1:
-        raise ExecutionError("fault campaign needs at least one replication")
-    context = None
-    if fork:
-        context = build_campaign_snapshot(spec)
-        jobs: List[SimJob] = [
-            ForkedFaultCampaignJob(f"faults.rep{i}", spec)
-            for i in range(replications)
-        ]
-    else:
-        jobs = [
-            FaultCampaignJob(f"faults.rep{i}", spec)
-            for i in range(replications)
-        ]
-    if master_seed is not None:
-        seed = master_seed
-    elif executor is not None:
-        seed = executor.master_seed
-    else:
-        seed = 0
-    if executor is None:
-        from ..exec.pool import get_inline_executor
-
-        executor = get_inline_executor()
-    store = None
-    if checkpoint is not None:
-        from ..exec.recovery import CheckpointStore
-
-        store = CheckpointStore(
-            checkpoint, kind="fault_campaign",
-            plan=(spec, replications, seed),
-            meta={"every_n_shards": checkpoint.every_n_shards},
-            fault_points=fault_points,
-        )
-    from ..exec.recovery import run_jobs_checkpointed
-
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=seed, context=context,
-        store=store,
+    report = run_replications(
+        CHAOS, spec, replications=replications, executor=executor,
+        master_seed=master_seed, fork=fork, checkpoint=checkpoint,
+        fault_points=fault_points,
     )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise ExecutionError(
-            f"{len(failed)}/{replications} fault replications failed ({detail})"
-        )
     return FaultCampaignResult(
         outcomes=report.values, digest=report.merged_digest()
     )
+
+
+def _rerun(plan, **options) -> FaultCampaignResult:
+    spec, replications, master_seed = plan
+    return run_fault_campaign(spec, replications=replications,
+                              master_seed=master_seed, **options)
+
+
+KINDS[CHAOS.name] = _rerun
 
 
 def resume_fault_campaign(directory: str, *,
@@ -494,18 +428,14 @@ def resume_fault_campaign(directory: str, *,
                           fork: bool = True) -> FaultCampaignResult:
     """Resume an interrupted checkpointed fault campaign (see
     :func:`repro.exec.recovery.resume_campaign`)."""
-    from ..exec.recovery import resume_campaign
-
     return resume_campaign(directory, executor=executor, fork=fork)
 
 
 __all__ = [
     "ChaosCaller",
-    "FaultCampaignJob",
     "FaultCampaignOutcome",
     "FaultCampaignResult",
     "FaultCampaignSpec",
-    "ForkedFaultCampaignJob",
     "build_campaign_snapshot",
     "build_chaos_base",
     "build_chaos_scenario",

@@ -14,7 +14,10 @@ package makes that tractable at 10^5–10^6 vehicles:
 * :mod:`repro.fleet.service` — staged canary → cohort → fleet waves with
   digest-gated halt/rollback, plus admission control over the shared
   pool; checkpointed campaigns survive harness crashes and resume with
-  byte-identical digests (:func:`resume_fleet_campaign`).
+  byte-identical digests (:func:`repro.exec.resume_campaign`);
+* :mod:`repro.fleet.sweep` — multi-replication sweeps of one
+  :class:`~repro.core.campaign.CampaignSpec` rollout
+  (:func:`sweep_campaigns`, :func:`resume_sweep`).
 """
 
 from .service import (
@@ -24,7 +27,6 @@ from .service import (
     FleetCampaignSpec,
     FleetService,
     WaveOutcome,
-    resume_fleet_campaign,
     run_fleet_campaign,
 )
 from .shard import (
@@ -37,6 +39,7 @@ from .shard import (
     simulate_vehicle,
 )
 from .summary import FleetDigest, StatSummary, TopK, merge_digests
+from .sweep import CampaignJob, SweepResult, resume_sweep, sweep_campaigns
 from .variants import (
     VARIANT_TABLE,
     VehicleVariant,
@@ -46,6 +49,7 @@ from .variants import (
 
 __all__ = [
     "CampaignAdmission",
+    "CampaignJob",
     "FleetCampaign",
     "FleetCampaignResult",
     "FleetCampaignSpec",
@@ -54,6 +58,7 @@ __all__ = [
     "FleetShardJob",
     "FleetSpec",
     "StatSummary",
+    "SweepResult",
     "TAG_NEW",
     "TAG_OLD",
     "TopK",
@@ -63,9 +68,10 @@ __all__ = [
     "build_fleet_snapshots",
     "build_vehicle_world",
     "merge_digests",
-    "resume_fleet_campaign",
+    "resume_sweep",
     "run_fleet",
     "run_fleet_campaign",
     "simulate_vehicle",
+    "sweep_campaigns",
     "variant_of",
 ]

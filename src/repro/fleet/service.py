@@ -21,6 +21,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.campaign import plan_waves
 from ..errors import UpdateError
+from ..exec.recovery import KINDS, open_store
 from .shard import TAG_NEW, TAG_OLD, FleetSpec, build_fleet_snapshots, run_fleet
 from .summary import FleetDigest, TopK
 
@@ -104,15 +105,8 @@ class FleetCampaign:
         #: digest an uninterrupted run would produce — wave boundaries,
         #: halt decisions and rollback are recomputed from the spec, the
         #: only durable state is the per-shard digests themselves
-        self.store = None
-        if checkpoint is not None:
-            from ..exec.recovery import CheckpointStore
-
-            self.store = CheckpointStore(
-                checkpoint, kind="fleet_campaign", plan=spec,
-                meta={"every_n_shards": checkpoint.every_n_shards},
-                fault_points=fault_points,
-            )
+        self.store = open_store(checkpoint, "fleet_campaign", spec,
+                                fault_points)
 
     @property
     def done(self) -> bool:
@@ -199,13 +193,7 @@ def run_fleet_campaign(
     ).run()
 
 
-def resume_fleet_campaign(directory: str, *, executor=None,
-                          fork: bool = True) -> FleetCampaignResult:
-    """Resume an interrupted checkpointed campaign (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    from ..exec.recovery import resume_campaign
-
-    return resume_campaign(directory, executor=executor, fork=fork)
+KINDS["fleet_campaign"] = run_fleet_campaign
 
 
 class CampaignAdmission:

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..exec.jobs import JobContext, SimJob, derive_item_seed
+from ..exec.pool import get_inline_executor, plan_shards
+from ..exec.recovery import run_campaign_jobs
 from ..faults.injector import FaultInjector
 from ..faults.report import ResilienceReport, build_resilience_report
 from ..faults.spec import FaultPlan, FaultSpec
+from ..jobs import JobContext, SimJob, derive_item_seed
 from ..model.applications import AppModel
 from ..osal.task import TaskSpec
 from ..sim import Simulator
@@ -182,7 +184,11 @@ def simulate_vehicle(
 
 
 class FleetShardJob(SimJob):
-    """Simulate vehicles ``[start, stop)`` and return one merged digest."""
+    """Simulate vehicles ``[start, stop)`` and return one merged digest.
+
+    Each vehicle forks its variant's world from the snapshot map in
+    ``ctx.shared`` when one is set, and rebuilds it otherwise.
+    """
 
     def __init__(
         self,
@@ -191,24 +197,16 @@ class FleetShardJob(SimJob):
         start: int,
         stop: int,
         tag: str = TAG_OLD,
-        fork: bool = True,
     ) -> None:
         self.job_id = job_id
         self.spec = spec
         self.start = start
         self.stop = stop
         self.tag = tag
-        #: fork from the shared snapshot map (True) or rebuild each world
-        self.fork = fork
         self.cost_hint = (stop - start) * VEHICLE_COST_HINT
 
     def run(self, ctx: JobContext) -> FleetDigest:
-        snapshots = ctx.shared if self.fork else None
-        if self.fork and snapshots is None:
-            raise ValueError(
-                f"shard {self.job_id} has fork=True but no snapshot map "
-                f"was passed as shared context"
-            )
+        snapshots = ctx.shared
         digest = FleetDigest(worst=TopK(k=self.spec.top_k))
         for index in range(self.start, self.stop):
             variant, releases, misses, histograms, report = simulate_vehicle(
@@ -257,44 +255,33 @@ def run_fleet(
     shared store — and because vehicle seeds derive from global indices,
     a loaded digest is byte-identical to what recomputation would yield.
     """
-    from ..exec.pool import get_inline_executor, plan_shards
-    from ..exec.recovery import run_jobs_checkpointed
-
     if executor is None:
         executor = get_inline_executor()
     if stop is None:
         stop = spec.size
     count = stop - start
+    digest = FleetDigest(worst=TopK(k=spec.top_k))
     if count <= 0:
-        return FleetRunResult(digest=FleetDigest(), shards=0, vehicles=0)
+        return FleetRunResult(digest=digest, shards=0, vehicles=0,
+                              digest_json=digest.to_json())
     if shard_size is None:
         shards = executor.plan_shards(count)
     else:
         shards = plan_shards(count, shard_size)
-    context = None
-    if fork:
-        context = snapshots if snapshots is not None else (
-            build_fleet_snapshots(spec, tags=(tag,))
-        )
+    if fork and snapshots is None:
+        snapshots = build_fleet_snapshots(spec, tags=(tag,))
     jobs = [
         FleetShardJob(
             job_id=f"{spec.name}.{tag}.{start + lo}-{start + hi}",
             spec=spec, start=start + lo, stop=start + hi, tag=tag,
-            fork=fork,
         )
         for lo, hi in shards
     ]
-    report = run_jobs_checkpointed(
+    report = run_campaign_jobs(
         jobs, executor=executor, master_seed=spec.master_seed,
-        context=context, store=store,
+        context=snapshots if fork else None, store=store, error=RuntimeError,
+        what="fleet shards",
     )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise RuntimeError(
-            f"{len(failed)}/{len(jobs)} fleet shards failed ({detail})"
-        )
-    digest = FleetDigest(worst=TopK(k=spec.top_k))
     for shard_digest in report.values:
         digest.merge(shard_digest)
     return FleetRunResult(

@@ -8,13 +8,11 @@ that is what makes fan-out trivially safe.
 
 Layering note
 -------------
-This module is the *protocol* between job producers (``core``, ``dse``,
+This module is the *protocol* between job producers (``dse``,
 ``faults``, ``fleet``, ``xil``) and the executor that runs them
 (:mod:`repro.exec`).  It deliberately lives at the bottom of the layer
-DAG — depending only on :mod:`repro.obs` and :mod:`repro.sim` — so that
-``core`` can define campaign jobs without importing the executor
-machinery (the ``ARCH601`` contract: ``core`` never depends on ``exec``).
-:mod:`repro.exec.jobs` re-exports every name for backward compatibility.
+DAG — depending only on :mod:`repro.obs` and :mod:`repro.sim` — so a
+layer can define jobs without importing the executor machinery.
 
 Determinism contract
 --------------------

@@ -10,7 +10,6 @@ from .controller import (
 from .harness import (
     BatteryResult,
     FaultInjector,
-    ForkedSilScenarioJob,
     LoopAssertions,
     LoopResult,
     ScenarioSpec,
@@ -36,7 +35,6 @@ __all__ = [
     "BuggyCruiseController",
     "CruiseController",
     "FaultInjector",
-    "ForkedSilScenarioJob",
     "LeadVehicle",
     "LongitudinalPlant",
     "LoopAssertions",

@@ -18,19 +18,18 @@ from __future__ import annotations
 
 import time as wallclock
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..exec.jobs import JobContext, SimJob
+from ..exec.pool import ParallelExecutor
+from ..exec.recovery import run_campaign_jobs
+from ..jobs import JobContext, SimJob
 from ..osal.core import Core
 from ..osal.policies import FixedPriorityPolicy
 from ..osal.task import Job, TaskSpec
 from ..sim import Simulator
 from .controller import CruiseController, PiGains
 from .plant import LongitudinalPlant
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.pool import ParallelExecutor
 
 
 @dataclass
@@ -486,15 +485,36 @@ def _scenario_verdict(
 
 
 class XilScenarioJob(SimJob):
-    """Runs one :class:`ScenarioSpec` closed loop in a worker process."""
+    """Runs one :class:`ScenarioSpec` closed loop in a worker process.
 
-    def __init__(self, job_id: str, spec: ScenarioSpec) -> None:
+    With a ``key`` the job continues its loop config's healthy warm-up
+    world from ``ctx.shared[key]``: it restores the world, arms the
+    scenario's faults and runs only the post-warm-up half.  Verdicts are
+    bit-identical to the rebuild path because the scenario is healthy
+    before the fork point by construction (:func:`sil_fork_eligible`).
+    """
+
+    def __init__(self, job_id: str, spec: ScenarioSpec,
+                 key: Optional[Tuple] = None) -> None:
         self.job_id = job_id
         self.spec = spec
+        self.key = key
 
     def run(self, ctx: JobContext) -> ScenarioVerdict:
-        passed, failures, result = self.spec.build_case().run()
-        return _scenario_verdict(self.spec, passed, failures, result, ctx)
+        spec = self.spec
+        if self.key is None:
+            passed, failures, result = spec.build_case().run()
+            return _scenario_verdict(spec, passed, failures, result, ctx)
+        sim = ctx.shared[self.key].restore()
+        loop: SilLoop = sim.world["sil"]
+        faults = spec.build_faults()
+        if faults is not None:
+            loop.faults = faults
+        start = wallclock.perf_counter()
+        sim.run(until=loop.duration + 0.1)
+        result = loop.result(wallclock.perf_counter() - start)
+        failures = spec.build_assertions().check(result)
+        return _scenario_verdict(spec, not failures, failures, result, ctx)
 
 
 #: Fork-eligible SiL scenarios warm up for this fraction of their
@@ -528,44 +548,6 @@ def build_sil_warm_snapshot(spec: ScenarioSpec, warmup: float):
     return loop.sim.snapshot()
 
 
-class ForkedSilScenarioJob(SimJob):
-    """One SiL scenario continued from a shared healthy warm-up world.
-
-    ``ctx.shared`` carries a dict of warm :class:`~repro.sim.SimSnapshot`
-    objects keyed by loop config; the job restores its config's world,
-    arms the scenario's faults on the restored loop and runs only the
-    post-warm-up half.  Results are bit-identical to the rebuild path
-    because the scenario is healthy before the fork point by
-    construction (:func:`sil_fork_eligible`).
-    """
-
-    def __init__(self, job_id: str, spec: ScenarioSpec, key: Tuple) -> None:
-        self.job_id = job_id
-        self.spec = spec
-        self.key = key
-
-    def run(self, ctx: JobContext) -> ScenarioVerdict:
-        snapshots = ctx.shared
-        snap = snapshots.get(self.key) if snapshots else None
-        if snap is None:
-            raise ConfigurationError(
-                f"forked SiL job {self.job_id} is missing its warm snapshot"
-            )
-        sim = snap.restore()
-        loop: SilLoop = sim.world["sil"]
-        faults = self.spec.build_faults()
-        if faults is not None:
-            loop.faults = faults
-        start = wallclock.perf_counter()
-        sim.run(until=loop.duration + 0.1)
-        wall = wallclock.perf_counter() - start
-        result = loop.result(wall)
-        failures = self.spec.build_assertions().check(result)
-        return _scenario_verdict(
-            self.spec, not failures, failures, result, ctx
-        )
-
-
 @dataclass
 class BatteryResult:
     """Aggregate outcome of one scenario battery."""
@@ -590,7 +572,7 @@ class BatteryResult:
 def run_battery(
     scenarios: List[ScenarioSpec],
     *,
-    executor: Optional["ParallelExecutor"] = None,
+    executor: Optional[ParallelExecutor] = None,
     master_seed: Optional[int] = None,
     fork: bool = True,
     warmup_fraction: float = SIL_WARMUP_FRACTION,
@@ -615,38 +597,19 @@ def run_battery(
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate scenario names in battery: {names}")
-    jobs: List[SimJob] = []
-    context = None
-    if fork:
-        snapshots: Dict[Tuple, object] = {}
-        for s in scenarios:
-            warmup = s.duration * warmup_fraction
-            if sil_fork_eligible(s, warmup):
-                key = s.loop_key()
-                if key not in snapshots:
-                    snapshots[key] = build_sil_warm_snapshot(s, warmup)
-                jobs.append(ForkedSilScenarioJob(f"xil.{s.name}", s, key))
-            else:
-                jobs.append(XilScenarioJob(f"xil.{s.name}", s))
-        if snapshots:
-            context = snapshots
-    else:
-        jobs = [XilScenarioJob(f"xil.{s.name}", s) for s in scenarios]
-    if executor is None:
-        from ..exec.pool import get_inline_executor
-
-        seed = 0 if master_seed is None else master_seed
-        report = get_inline_executor().run_jobs(
-            jobs, master_seed=seed, context=context
-        )
-    else:
-        report = executor.run_jobs(
-            jobs, master_seed=master_seed, context=context
-        )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise ConfigurationError(
-            f"{len(failed)}/{len(jobs)} battery scenarios crashed ({detail})"
-        )
+    jobs = []
+    snapshots: Dict[Tuple, object] = {}
+    for s in scenarios:
+        key = None
+        warmup = s.duration * warmup_fraction
+        if fork and sil_fork_eligible(s, warmup):
+            key = s.loop_key()
+            if key not in snapshots:
+                snapshots[key] = build_sil_warm_snapshot(s, warmup)
+        jobs.append(XilScenarioJob(f"xil.{s.name}", s, key))
+    report = run_campaign_jobs(
+        jobs, executor=executor, master_seed=master_seed,
+        context=snapshots or None, error=ConfigurationError,
+        what="battery scenarios",
+    )
     return BatteryResult(verdicts=report.values, digest=report.merged_digest())

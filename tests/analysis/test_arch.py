@@ -159,3 +159,28 @@ class TestRealRepoContract:
             assert package in DEFAULT_CONTRACT.layers, (
                 f"package {package!r} missing from the layer contract"
             )
+
+    def test_no_lazy_upward_import_even_under_pragma(self):
+        # campaign kinds register with repro.exec.recovery.KINDS instead
+        # of exec dispatching back up; counted before pragma suppression
+        import os
+
+        root = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..")
+        )
+        findings = []
+        for dirpath, _, files in os.walk(os.path.join(root, "src", "repro")):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                info = collect_imports(
+                    ast.parse(source), os.path.relpath(path, root),
+                    source.splitlines(),
+                )
+                findings += [f"{f.path}:{f.line}"
+                             for f in check_module_layers(info)
+                             if f.rule == "ARCH603"]
+        assert findings == []

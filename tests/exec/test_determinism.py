@@ -7,7 +7,7 @@ workers in {1, 2, 4}, including when a worker crash forces a retry.
 
 import pytest
 
-from repro.core import CampaignJob, CampaignSpec, sweep_campaigns
+from repro.core import CampaignSpec
 from repro.dse import (
     MappingProblem,
     annealing_search,
@@ -15,6 +15,7 @@ from repro.dse import (
     random_search,
 )
 from repro.exec import ParallelExecutor
+from repro.fleet import CampaignJob, sweep_campaigns
 from repro.hw import BusSpec, EcuSpec, OsClass, Topology
 from repro.model import AppModel, Asil, SystemModel
 from repro.osal import TaskSpec

@@ -7,9 +7,10 @@ AND identical merged digests — same event counts, same metrics — for the
 fault campaign, the fleet sweep and the XiL battery.
 """
 
-from repro.core.campaign import CampaignSpec, sweep_campaigns
+from repro.core.campaign import CampaignSpec
 from repro.faults import FaultCampaignSpec, FaultPlan, FaultSpec
 from repro.faults.campaign import run_fault_campaign
+from repro.fleet import sweep_campaigns
 from repro.xil import ScenarioSpec, run_battery
 
 CHAOS_SPEC = FaultCampaignSpec(

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignSpec, resume_sweep, sweep_campaigns
+from repro.core.campaign import CampaignSpec
 from repro.exec import ParallelExecutor
 from repro.exec.recovery import (
     CheckpointCrash,
@@ -31,7 +31,9 @@ from repro.fleet import (
     FleetCampaign,
     FleetCampaignSpec,
     FleetSpec,
+    resume_sweep,
     run_fleet_campaign,
+    sweep_campaigns,
 )
 
 
