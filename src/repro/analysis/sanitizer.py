@@ -6,8 +6,8 @@ simulation.  It is opt-in and follows the same hook pattern as the
 :class:`~repro.faults.injector.FaultInjector`: when detached, the kernel
 and resource layers pay exactly one ``is None`` branch per event, and
 when attached the per-event work is a couple of comparisons, so a
-sanitized run stays within a few percent of an unsanitized one (gated by
-``benchmarks/bench_sanitizer.py``).
+sanitized run stays within a few percent of an unsanitized one (gated at
+5 % by ``benchmarks/bench_gates.py``).
 
 Three detectors run while attached:
 

@@ -950,22 +950,32 @@ class ParallelExecutor:
             return 0
         return max(1, min(self.workers, n_items))
 
+    def default_shard_size(self, n_items: int) -> int:
+        """The shard size :meth:`plan_shards` picks for ``n_items``.
+
+        It aims at a few shards per worker so the cost model can still
+        balance load, without shrinking shards so far that per-shard
+        overhead (one snapshot restore, one merged summary) dominates.
+        """
+        return max(1, -(-n_items // max(1, self.workers * 4)))
+
     def plan_shards(
         self, n_items: int, *, shard_size: Optional[int] = None
     ) -> List[Tuple[int, int]]:
         """Split ``n_items`` into contiguous ``(start, stop)`` shards.
 
-        Default shard size aims at a few shards per worker so the cost
-        model can still balance load, without shrinking shards so far
-        that per-shard overhead (one snapshot restore, one merged
-        summary) dominates.  The partition depends only on ``n_items``
-        and ``shard_size`` — never on worker count — so per-item seeds
-        derived from global indices keep results shard-layout-proof.
+        With ``shard_size`` the partition depends only on ``n_items`` and
+        ``shard_size``.  Without it the size is
+        :meth:`default_shard_size`, which depends on the worker count.
+        Results never do, since per-item seeds derive from global
+        indices, but anything keyed by shard range does: a checkpointed
+        campaign must pin the resolved size in its plan, or a resume on
+        another executor finds none of its records.
         """
         if n_items <= 0:
             return []
         if shard_size is None:
-            shard_size = max(1, -(-n_items // max(1, self.workers * 4)))
+            shard_size = self.default_shard_size(n_items)
         return plan_shards(n_items, shard_size)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -25,8 +25,9 @@ module makes sharded campaigns **preemption-tolerant**:
 * :class:`ExecChaos` / :class:`FaultPoints` — a seeded chaos harness
   for the executor itself (SIGKILL a random busy worker every N
   chunks, inject pipe EOFs) and crash hooks inside the checkpoint
-  write path, used by the soak test and ``benchmarks/bench_recovery.py``
-  to prove the recovery guarantees under fire.
+  write path, used by the recovery tests and the redispatch-overhead
+  gate in ``benchmarks/bench_gates.py`` to prove the recovery
+  guarantees under fire.
 
 Determinism note: checkpoint file names and digests are pure functions
 of the plan and shard keys — no wall-clock, pid or hostname ever leaks
@@ -77,8 +78,8 @@ class CheckpointCrash(RuntimeError):
 class FaultPoints:
     """Named crash hooks threaded through the checkpoint write path.
 
-    Tests and the chaos benchmark arm a point —
-    ``fp.arm("checkpoint.record_written", after=3)`` — and the third
+    Tests arm a point —
+    ``fp.arm("checkpoint.record_written", after=3)`` — and the fourth
     time execution passes that point, :class:`CheckpointCrash` is
     raised, simulating a harness crash at a byte-exact stage of the
     atomic-write protocol.  Unarmed points only count hits.
@@ -195,6 +196,12 @@ def load_manifest(directory: str) -> Dict[str, Any]:
     return manifest
 
 
+def load_plan(directory: str) -> Tuple[Dict[str, Any], Any]:
+    """The validated manifest of ``directory`` and the plan pickled in it."""
+    manifest = load_manifest(directory)
+    return manifest, pickle.loads(bytes.fromhex(manifest["plan_hex"]))
+
+
 class CheckpointStore:
     """Durable map of shard key → completed shard summary.
 
@@ -233,6 +240,7 @@ class CheckpointStore:
         self.loaded = 0
         self.written = 0
         self.discarded = 0
+        self.dropped = 0
         os.makedirs(spec.dir, exist_ok=True)
         self._init_manifest(meta or {})
 
@@ -329,6 +337,24 @@ class CheckpointStore:
         self._fsync_dir()
         if self.fault_points is not None:
             self.fault_points.hit("checkpoint.flush")
+
+    def retain(self, keys) -> int:
+        """Delete every record whose key is not in ``keys``.
+
+        A campaign passes every key its plan can write, so what goes are
+        records of another shard layout, which no run of this plan would
+        ever load.  Returns how many were dropped (also summed in
+        :attr:`dropped`).
+        """
+        keep = {_record_name(key) for key in keys}
+        stale = [name for name in sorted(os.listdir(self.spec.dir))
+                 if name.endswith(RECORD_SUFFIX) and name not in keep]
+        for name in stale:
+            os.remove(os.path.join(self.spec.dir, name))
+        if stale:
+            self._fsync_dir()
+        self.dropped += len(stale)
+        return len(stale)
 
     def load(self) -> Dict[str, Any]:
         """Read every valid record; torn/foreign records are discarded."""
@@ -601,7 +627,7 @@ def resume_campaign(
     ``fault_campaign`` (:func:`repro.faults.campaign.run_fault_campaign`)
     and ``campaign_sweep`` (:func:`repro.fleet.sweep.sweep_campaigns`).
     """
-    manifest = load_manifest(directory)
+    manifest, plan = load_plan(directory)
     kind = manifest["kind"]
     rerun = KINDS.get(kind)
     if rerun is None:
@@ -609,7 +635,6 @@ def resume_campaign(
             f"cannot resume checkpoint of unknown kind {kind!r} "
             f"(directory {directory!r})"
         )
-    plan = pickle.loads(bytes.fromhex(manifest["plan_hex"]))
     meta = manifest.get("meta") or {}
     checkpoint = CheckpointSpec(
         dir=directory, every_n_shards=int(meta.get("every_n_shards", 1))
@@ -683,6 +708,7 @@ __all__ = [
     "ReplicationKind",
     "base_snapshot",
     "load_manifest",
+    "load_plan",
     "open_store",
     "plan_key",
     "resolve_seed",

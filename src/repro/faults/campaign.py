@@ -284,8 +284,8 @@ def build_chaos_scenario(
 ) -> Dict[str, object]:
     """Assemble the full chaos scenario on ``sim`` (base + workload).
 
-    Shared by the examples and the fault-soak benchmark, so every
-    consumer exercises the identical scenario.
+    Shared by the examples and the chaos-soak tests, so every consumer
+    exercises the identical scenario.
     """
     return start_chaos_workload(sim, build_chaos_base(sim, spec), spec, rng)
 

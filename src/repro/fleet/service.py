@@ -15,14 +15,24 @@ rest, stepping active campaigns one wave at a time in round-robin order.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.campaign import plan_waves
 from ..errors import UpdateError
-from ..exec.recovery import KINDS, open_store
-from .shard import TAG_NEW, TAG_OLD, FleetSpec, build_fleet_snapshots, run_fleet
+from ..exec.pool import get_inline_executor
+from ..exec.recovery import KINDS, MANIFEST_NAME, load_plan, open_store
+from .shard import (
+    TAG_NEW,
+    TAG_OLD,
+    FleetSpec,
+    build_fleet_snapshots,
+    run_fleet,
+    shard_jobs,
+)
 from .summary import FleetDigest, TopK
 
 
@@ -33,7 +43,8 @@ class FleetCampaignSpec:
     fleet: FleetSpec = field(default_factory=FleetSpec)
     #: cumulative fleet fractions per wave — canary, cohort, full fleet
     stages: Tuple[float, ...] = (0.01, 0.1, 1.0)
-    #: fixed shard size; ``None`` lets the executor pick (a few per worker)
+    #: fixed shard size; ``None`` lets the executor pick (a few per
+    #: worker), once per campaign when checkpointed (see ``pinned_spec``)
     shard_size: Optional[int] = None
     #: halt when a wave's merged deadline-miss ratio exceeds this
     halt_miss_ratio: float = 0.05
@@ -68,6 +79,30 @@ class FleetCampaignResult:
         return not self.halted
 
 
+def pinned_spec(spec: FleetCampaignSpec, planner, checkpoint,
+                waves: List[Tuple[int, int]]) -> FleetCampaignSpec:
+    """``spec`` with the shard size its checkpoint records are keyed by.
+
+    Record keys name vehicle ranges, and the default shard size of the
+    executor (``planner``) depends on its worker count.  A checkpointed
+    campaign without a ``shard_size`` therefore resolves the default
+    once, for its largest wave, and the manifest stores that pinned spec
+    as the plan, so a resume on any executor rebuilds the same keys.  A
+    directory already holding this campaign keeps the size it was
+    pinned to.
+    """
+    if checkpoint is None or spec.shard_size is not None:
+        return spec
+    if os.path.exists(os.path.join(checkpoint.dir, MANIFEST_NAME)):
+        _, plan = load_plan(checkpoint.dir)
+        if (isinstance(plan, FleetCampaignSpec)
+                and dataclasses.replace(plan, shard_size=None) == spec):
+            return plan
+    largest = max(stop - start for start, stop in waves)
+    return dataclasses.replace(
+        spec, shard_size=planner.default_shard_size(largest))
+
+
 class FleetCampaign:
     """A steppable staged rollout; one :meth:`step` call runs one wave.
 
@@ -87,10 +122,12 @@ class FleetCampaign:
     ) -> None:
         if spec.fleet.size < 1:
             raise UpdateError("fleet campaign needs at least one vehicle")
+        self.waves = plan_waves(spec.fleet.size, stages=spec.stages)
+        planner = executor or get_inline_executor()
+        spec = pinned_spec(spec, planner, checkpoint, self.waves)
         self.spec = spec
         self.executor = executor
         self.fork = fork
-        self.waves = plan_waves(spec.fleet.size, stages=spec.stages)
         self._wave_index = 0
         self._digest = FleetDigest(worst=TopK(k=spec.fleet.top_k))
         self._snapshots = None
@@ -107,6 +144,15 @@ class FleetCampaign:
         #: only durable state is the per-shard digests themselves
         self.store = open_store(checkpoint, "fleet_campaign", spec,
                                 fault_points)
+        if self.store is not None:
+            self.store.retain(
+                job.job_id
+                for start, stop in self.waves
+                for tag in (TAG_NEW, TAG_OLD)
+                for job in shard_jobs(spec.fleet, start, stop, tag,
+                                      executor=planner,
+                                      shard_size=spec.shard_size)
+            )
 
     @property
     def done(self) -> bool:

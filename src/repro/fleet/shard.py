@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..exec.pool import get_inline_executor, plan_shards
+from ..exec.pool import get_inline_executor
 from ..exec.recovery import run_campaign_jobs
 from ..faults.injector import FaultInjector
 from ..faults.report import ResilienceReport, build_resilience_report
@@ -219,6 +219,30 @@ class FleetShardJob(SimJob):
         return digest
 
 
+def shard_jobs(
+    spec: FleetSpec,
+    start: int,
+    stop: int,
+    tag: str,
+    *,
+    executor,
+    shard_size: Optional[int] = None,
+) -> List[FleetShardJob]:
+    """The shard jobs covering vehicles ``[start, stop)`` under ``tag``.
+
+    Without ``shard_size`` the executor's default size applies.  Job ids
+    name the global vehicle range, so they double as checkpoint keys.
+    """
+    return [
+        FleetShardJob(
+            job_id=f"{spec.name}.{tag}.{start + lo}-{start + hi}",
+            spec=spec, start=start + lo, stop=start + hi, tag=tag,
+        )
+        for lo, hi in executor.plan_shards(stop - start,
+                                           shard_size=shard_size)
+    ]
+
+
 @dataclass
 class FleetRunResult:
     """Outcome of one sharded fleet run (a single tag, no waves)."""
@@ -264,19 +288,10 @@ def run_fleet(
     if count <= 0:
         return FleetRunResult(digest=digest, shards=0, vehicles=0,
                               digest_json=digest.to_json())
-    if shard_size is None:
-        shards = executor.plan_shards(count)
-    else:
-        shards = plan_shards(count, shard_size)
     if fork and snapshots is None:
         snapshots = build_fleet_snapshots(spec, tags=(tag,))
-    jobs = [
-        FleetShardJob(
-            job_id=f"{spec.name}.{tag}.{start + lo}-{start + hi}",
-            spec=spec, start=start + lo, stop=start + hi, tag=tag,
-        )
-        for lo, hi in shards
-    ]
+    jobs = shard_jobs(spec, start, stop, tag, executor=executor,
+                      shard_size=shard_size)
     report = run_campaign_jobs(
         jobs, executor=executor, master_seed=spec.master_seed,
         context=snapshots if fork else None, store=store, error=RuntimeError,

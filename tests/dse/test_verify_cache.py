@@ -5,10 +5,14 @@ import pickle
 from repro.hw import centralized_topology
 from repro.sim import RngStreams
 from repro.model import Deployment, VerifyCache, verify
+from repro.model.verification import estimate_latency
+from repro.osal.analysis import scaled_utilization
+from repro.osal.task import Criticality
 from repro.workloads import reference_system
 
 from .test_dse import make_model
 from repro.dse import MappingProblem
+from repro.dse.problem import Evaluation
 
 
 def random_deployments(problem, n, seed=3):
@@ -16,6 +20,49 @@ def random_deployments(problem, n, seed=3):
     bounds = problem.genome_bounds()
     return [problem.decode([rng.randrange(b) for b in bounds])
             for _ in range(n)]
+
+
+def evaluate_cold(problem, deployment):
+    """The scoring path as it was before ``VerifyCache``: uncached
+    ``verify`` plus a latency loop that re-derives routes, payload sizes
+    and bandwidths on every call.  The reference ``evaluate`` must match."""
+    model = problem.model
+    result = verify(model, deployment)
+    cost = sum(
+        model.topology.ecu(name).unit_cost for name in deployment.used_ecus()
+    )
+    latency = 0.0
+    for producer, consumer, interface in model.communication_pairs():
+        if deployment.is_placed(producer) and deployment.is_placed(consumer):
+            latency += estimate_latency(
+                model,
+                deployment.ecu_of(producer),
+                deployment.ecu_of(consumer),
+                interface.payload_bytes,
+            )
+    utilizations = []
+    for ecu_name in deployment.used_ecus():
+        spec = model.topology.ecu(ecu_name)
+        for core in range(spec.cores):
+            tasks = [
+                t
+                for a in deployment.apps_on_core(ecu_name, core)
+                for t in model.app(a).tasks
+                if t.criticality is Criticality.DETERMINISTIC
+            ]
+            if tasks:
+                utilizations.append(
+                    scaled_utilization(tasks, spec.speed_factor)
+                )
+    imbalance = (max(utilizations) - min(utilizations)
+                 if len(utilizations) > 1 else 0.0)
+    return Evaluation(
+        feasible=result.ok,
+        cost=cost,
+        latency=latency,
+        imbalance=imbalance,
+        violations=len(result.errors),
+    )
 
 
 class TestVerifyCacheEquivalence:
@@ -30,6 +77,13 @@ class TestVerifyCacheEquivalence:
             assert cold.violations == warm.violations
         assert cache.stats()["routes"] > 0
         assert cache.stats()["latencies"] > 0
+
+    def test_cached_evaluate_matches_cold_reference(self):
+        problem = MappingProblem(reference_system(centralized_topology()))
+        deployments = random_deployments(problem, 200, seed=13)
+        cold = [evaluate_cold(problem, d) for d in deployments]
+        assert [problem.evaluate(d) for d in deployments] == cold
+        assert len({(e.cost, e.latency, e.imbalance) for e in cold}) > 1
 
     def test_cache_handles_missing_routes(self):
         # a deployment naming an unknown ECU exercises the no-route path

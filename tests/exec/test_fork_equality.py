@@ -26,8 +26,30 @@ CHAOS_SPEC = FaultCampaignSpec(
     soak_time=0.3,
 )
 
+#: a base that dwarfs its per-variant soak: four triple-redundant nodes,
+#: a long settle under heartbeats, and crash, drop and breaker paths
+#: inside the short soak
+HEAVY_CHAOS_SPEC = FaultCampaignSpec(
+    plan=FaultPlan(
+        name="heavy",
+        faults=(
+            FaultSpec(kind="ecu_crash", target="platform_0", start=0.01,
+                      duration=0.04),
+            FaultSpec(kind="frame_drop", target="eth_backbone", start=0.005,
+                      duration=0.05, probability=0.4),
+        ),
+    ),
+    n_nodes=4, replicas=3, soak_time=0.06, settle_time=1.5,
+    breaker_threshold=2, breaker_reset=0.03,
+)
+
 FLEET_SPEC = CampaignSpec(fleet_size=2, soak_time=0.3, target_wcet=0.004,
                           target_wcet_jitter=0.004, target_deadline=0.002)
+
+#: one wave with a short soak after a long shared build-deploy-settle base
+ONE_WAVE_SPEC = CampaignSpec(fleet_size=6, wave_size=6, soak_time=0.02,
+                             settle_time=10.0, target_wcet=0.004,
+                             target_wcet_jitter=0.004, target_deadline=0.002)
 
 SCENARIOS = [
     ScenarioSpec(name="nominal", level="SiL", duration=4.0),
@@ -49,12 +71,30 @@ class TestFaultCampaignForkEquality:
         assert forked.digest["metrics"] == rebuilt.digest["metrics"]
 
 
+    def test_heavy_base_outcomes_and_digest_identical(self):
+        forked = run_fault_campaign(HEAVY_CHAOS_SPEC, replications=6,
+                                    master_seed=7, fork=True)
+        rebuilt = run_fault_campaign(HEAVY_CHAOS_SPEC, replications=6,
+                                     master_seed=7, fork=False)
+        assert forked.outcomes == rebuilt.outcomes
+        assert forked.digest["metrics"] == rebuilt.digest["metrics"]
+
+
 class TestFleetSweepForkEquality:
     def test_outcomes_and_digest_identical(self):
         forked = sweep_campaigns(FLEET_SPEC, replications=3,
                                  master_seed=11, fork=True)
         rebuilt = sweep_campaigns(FLEET_SPEC, replications=3,
                                   master_seed=11, fork=False)
+        assert forked.outcomes == rebuilt.outcomes
+        assert forked.digest["metrics"] == rebuilt.digest["metrics"]
+
+
+    def test_one_wave_outcomes_and_digest_identical(self):
+        forked = sweep_campaigns(ONE_WAVE_SPEC, replications=10,
+                                 master_seed=7, fork=True)
+        rebuilt = sweep_campaigns(ONE_WAVE_SPEC, replications=10,
+                                  master_seed=7, fork=False)
         assert forked.outcomes == rebuilt.outcomes
         assert forked.digest["metrics"] == rebuilt.digest["metrics"]
 
@@ -67,3 +107,22 @@ class TestBatteryForkEquality:
                [v.name for v in rebuilt.verdicts]
         for fv, rv in zip(forked.verdicts, rebuilt.verdicts):
             assert fv == rv  # overshoot/settling/error/samples bitwise equal
+
+    def test_late_faults_share_one_warm_world(self):
+        """Every fault opens after the 0.8 warm-up point, so every
+        scenario forks the one warm world."""
+        late = 8.0 * 0.85
+        scenarios = [ScenarioSpec(name="nominal", level="SiL", duration=8.0)]
+        scenarios += [
+            ScenarioSpec(name=f"late-dropout-{i}", level="SiL", duration=8.0,
+                         sensor_dropout_window=(late + 0.08 * i,
+                                                late + 0.08 * (5 + i)))
+            for i in range(9)
+        ]
+        forked = run_battery(scenarios, master_seed=7, fork=True,
+                             warmup_fraction=0.8)
+        rebuilt = run_battery(scenarios, master_seed=7, fork=False,
+                              warmup_fraction=0.8)
+        assert len(forked.verdicts) == len(rebuilt.verdicts) == 10
+        for fv, rv in zip(forked.verdicts, rebuilt.verdicts):
+            assert fv == rv

@@ -1,9 +1,9 @@
 """Warm-pool architecture tests: persistence, cost-model chunking,
 deadline isolation, surgical worker rebuild, and error-path cleanup.
 
-The determinism matrix here is the executor-level contract behind the
-`BENCH_exec.json` gate: identical :class:`BatchReport` digests for
-workers x chunk_size x consecutive warm-pool batches.
+The determinism matrix here is the executor-level parallel ≡ serial
+contract: identical :class:`BatchReport` digests for workers x
+chunk_size x consecutive warm-pool batches.
 """
 
 import os

@@ -14,6 +14,10 @@ metric digest, and, for replication 0 restored from the campaign snapshot
 and soaked with tracing on, the sha256 of every tracer entry and the
 number of events the kernel dispatched during the soak.
 
+``TestChaosSoak`` soaks the same plan's scenario twice in one process,
+and once more under the kernel sanitizer, and requires identical fault
+timelines and outcomes and no race.
+
 Regenerate the golden (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python -m tests.faults.test_chaos_golden
@@ -24,16 +28,19 @@ import hashlib
 import json
 import os
 
+from repro.analysis import KernelSanitizer
 from repro.jobs import JobContext, derive_job_seed
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.campaign import (
     FaultCampaignSpec,
     build_campaign_snapshot,
+    build_chaos_scenario,
+    campaign_outcome,
     run_fault_campaign,
     start_chaos_workload,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim import Tracer
+from repro.sim import Simulator, Tracer
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_chaos.json")
 
@@ -134,6 +141,43 @@ class TestChaosGolden:
             golden = json.load(fh)
         assert golden["breaker_seed11"]["rpc_fastfails"] > 0
         assert golden["breaker_seed11"]["breakers_opened"] > 0
+
+
+def soak_once(spec, seed: int, *, sanitize: bool = False):
+    """Build the chaos scenario, soak it, and return (timeline, outcome,
+    sanitizer); with ``sanitize`` the race detector watches the kernel
+    and the injector's RNG streams throughout."""
+    sim = Simulator()
+    scenario = build_chaos_scenario(sim, spec, seed)
+    sanitizer = None
+    if sanitize:
+        sanitizer = KernelSanitizer(sim, rng=scenario["injector"].rng).attach()
+    sim.run(until=sim.now + spec.soak_time)
+    return (tuple(scenario["injector"].timeline),
+            campaign_outcome("soak", scenario), sanitizer)
+
+
+class TestChaosSoak:
+    SPEC = FaultCampaignSpec(plan=PLAN, soak_time=2.0)
+
+    def test_fault_timeline_repeats_in_one_process(self):
+        """Two soaks of one (plan, seed) in one process: any global state
+        leaking into the fault path shows as a diverging timeline."""
+        first_timeline, first_outcome, _ = soak_once(self.SPEC, 42)
+        second_timeline, second_outcome, _ = soak_once(self.SPEC, 42)
+        assert len(first_timeline) >= 20
+        assert first_outcome.failovers >= 1
+        assert second_timeline == first_timeline
+        assert second_outcome == first_outcome
+
+    def test_sanitized_soak_is_race_free_and_unperturbed(self):
+        spec = dataclasses.replace(self.SPEC, plan=FaultPlan(
+            name="soak", faults=PLAN.faults[:4]))
+        bare_timeline, bare_outcome, _ = soak_once(spec, 42)
+        timeline, outcome, sanitizer = soak_once(spec, 42, sanitize=True)
+        assert sanitizer.race_count == 0, sanitizer.summary()
+        assert timeline and timeline == bare_timeline
+        assert outcome == bare_outcome
 
 
 if __name__ == "__main__":

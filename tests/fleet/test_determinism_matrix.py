@@ -79,6 +79,26 @@ class TestDeterminismMatrix:
             executor.close()
         assert digest_bytes(run) == reference
 
+    def test_second_fleet_every_layout_matches_unsharded(self):
+        """Another fleet, seed and soak: forked shards of 3 and 7, the
+        unsharded rebuild and two workers over shards of 5 all equal the
+        unsharded forked run."""
+        spec = FleetSpec(name="bench", size=24, soak_time=0.05,
+                         master_seed=20)
+        snaps = build_fleet_snapshots(spec, tags=("old",))
+        reference = digest_bytes(
+            run_fleet(spec, snapshots=snaps, shard_size=24))
+        runs = [run_fleet(spec, snapshots=snaps, shard_size=size)
+                for size in (3, 7)]
+        runs.append(run_fleet(spec, fork=False, shard_size=24))
+        executor = ParallelExecutor(workers=2, master_seed=0)
+        try:
+            runs.append(run_fleet(spec, executor=executor, snapshots=snaps,
+                                  shard_size=5))
+        finally:
+            executor.close()
+        assert [digest_bytes(run) for run in runs] == [reference] * 4
+
     def test_master_seed_changes_outcomes(self, snapshots, reference):
         other = FleetSpec(size=18, soak_time=0.03, master_seed=12)
         run = run_fleet(other, fork=False, shard_size=18)

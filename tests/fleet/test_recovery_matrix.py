@@ -3,9 +3,10 @@ boundary — shard, wave, mid-wave, mid-rollback — must resume to a
 campaign digest byte-identical to an uninterrupted run, across
 shard-size × worker-count layouts.
 
-Also pins the skip property (resume recomputes only missing shards) and
-the resume path of the other two campaign kinds (fault campaigns and
-campaign sweeps).
+Also pins the skip property (resume recomputes only missing shards),
+for a default shard size under any worker count too, and the resume
+path of the other two campaign kinds (fault campaigns and campaign
+sweeps).
 """
 
 import json
@@ -17,8 +18,10 @@ from repro.exec import ParallelExecutor
 from repro.exec.recovery import (
     CheckpointCrash,
     CheckpointSpec,
+    CheckpointStore,
     FaultPoints,
     load_manifest,
+    load_plan,
     resume_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
@@ -123,6 +126,77 @@ class TestResumeMatrix:
         assert len(simulated) == 12, (
             f"resume resimulated {len(simulated)} vehicles, expected 12"
         )
+
+    @pytest.mark.parametrize("crash_after", [2, None])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_default_shard_size_resumes_on_any_worker_count(
+        self, tmp_path, monkeypatch, reference_digest, workers, crash_after
+    ):
+        """With no ``shard_size``, a checkpoint written on ``workers``
+        workers and resumed inline re-simulates exactly the vehicles of
+        the shards missing on disk: none after a complete run."""
+        from repro.fleet import shard as shard_mod
+
+        spec = fleet_spec(None)
+        directory = str(tmp_path / "ckpt")
+        fp = FaultPoints()
+        if crash_after is not None:
+            fp.arm("checkpoint.record_written", after=crash_after)
+        executor = ParallelExecutor(workers=workers, shutdown_grace=0.3)
+        try:
+            FleetCampaign(spec, executor=executor,
+                          checkpoint=CheckpointSpec(directory),
+                          fault_points=fp).run()
+        except CheckpointCrash:
+            pass
+        finally:
+            executor.close()
+        manifest, plan = load_plan(directory)
+        assert plan.shard_size == executor.default_shard_size(12)
+        durable = CheckpointStore(CheckpointSpec(directory),
+                                  kind=manifest["kind"], plan=plan).load()
+        on_disk = set()
+        for key in durable:
+            lo, hi = key.rsplit(".", 1)[1].split("-")
+            on_disk.update(range(int(lo), int(hi)))
+        simulated = []
+        real = shard_mod.simulate_vehicle
+
+        def counting(spec_, index, tag, snapshots=None):
+            simulated.append(index)
+            return real(spec_, index, tag, snapshots)
+
+        monkeypatch.setattr(shard_mod, "simulate_vehicle", counting)
+        result = resume_campaign(directory)
+        assert canonical(result.campaign_digest) == reference_digest
+        assert sorted(simulated) == sorted(set(range(24)) - on_disk)
+        if crash_after is None:
+            assert simulated == []
+        else:
+            assert len(durable) == crash_after + 1
+        # reopening with the unpinned spec on another executor keeps the
+        # pinned size instead of refusing the directory as foreign
+        assert FleetCampaign(spec, checkpoint=CheckpointSpec(directory)
+                             ).spec == plan
+
+    def test_records_of_another_layout_are_dropped(self, tmp_path):
+        """A record whose key the plan's shard layout never produces is
+        deleted when the campaign opens its store."""
+        directory = str(tmp_path / "ckpt")
+        FleetCampaign(fleet_spec(3),
+                      checkpoint=CheckpointSpec(directory)).run()
+        other = str(tmp_path / "other")
+        FleetCampaign(fleet_spec(5), checkpoint=CheckpointSpec(other)).run()
+        foreign = CheckpointStore(CheckpointSpec(other), kind="fleet_campaign",
+                                  plan=fleet_spec(5)).load()
+        store = CheckpointStore(CheckpointSpec(directory),
+                                kind="fleet_campaign", plan=fleet_spec(3))
+        for key, payload in foreign.items():
+            store.add(key, payload)
+        campaign = FleetCampaign(fleet_spec(3),
+                                 checkpoint=CheckpointSpec(directory))
+        assert campaign.store.dropped == len(foreign) == 7
+        assert len(campaign.store.load()) == 8  # shards of 3 in waves 6/6/12
 
     def test_crash_during_rollback_resumes_halt_and_rollback(
         self, tmp_path

@@ -66,6 +66,18 @@ class TestFleetCampaign:
             new_waves[0].stop - new_waves[0].start
         )
 
+    def test_one_percent_canary_halts_and_spares_the_fleet(self):
+        spec = FleetCampaignSpec(
+            fleet=FleetSpec(name="halt", size=200, soak_time=0.05,
+                            master_seed=20, regression_overrun=30.0),
+            stages=(0.01, 0.1, 1.0),
+        )
+        result = run_fleet_campaign(spec)
+        assert result.halted and result.rolled_back
+        assert result.vehicles_updated == 0
+        assert [(w.tag, w.stop - w.start) for w in result.waves] == [
+            ("new", 2), ("old", 2)]
+
     def test_step_is_incremental(self):
         campaign = FleetCampaign(healthy_spec(size=20))
         outcomes = []

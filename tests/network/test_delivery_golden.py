@@ -19,6 +19,13 @@ end-to-end sends and bus-level broadcasts:
   later, so the per-delivery metric guard is pinned on both sides of a
   flip.
 
+A third run, ``outage``, drives six SOA flows over two CAN legs, a
+FlexRay cluster and a redundant Ethernet pair, and fails the backbone
+for the middle half of the run so traffic reroutes over the ring.  Its
+trace was recorded at commit ``bbdfa5f``, where it equalled, entry for
+entry, the trace of a frozen copy of the pre-route-cache network stack
+(per-send shortest paths, list-scan arbitration, one event per segment).
+
 Regenerate the golden (only when a behaviour change is intended) with::
 
     PYTHONPATH=src python -m tests.network.test_delivery_golden
@@ -29,7 +36,16 @@ import json
 import os
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.middleware import Endpoint, ServiceRegistry
+from repro.hw import BusSpec, EcuSpec, Topology
+from repro.middleware import (
+    QOS_BULK,
+    QOS_CONTROL,
+    Endpoint,
+    Message,
+    MessageType,
+    QoS,
+    ServiceRegistry,
+)
 from repro.network import Frame, VehicleNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator, Tracer
@@ -138,8 +154,86 @@ def toggled_run() -> dict:
     return record(sim, net, endpoints)
 
 
+OUTAGE_ROUNDS = 30
+
+#: (src, dst, service, type, payload bytes, qos): CAN-segmented fan-in,
+#: bulk camera samples (no redundant path), cross-CAN commands, a
+#: FlexRay brake request and an intra-cluster FlexRay notification
+OUTAGE_FLOWS = (
+    ("sensor1", "fusion", 0x100, MessageType.NOTIFICATION, 48, QoS(priority=0x120)),
+    ("cam", "fusion", 0x200, MessageType.STREAM_SAMPLE, 3000, QOS_BULK),
+    ("fusion", "actuator1", 0x300, MessageType.REQUEST, 24, QoS(priority=0x340)),
+    ("sensor2", "actuator2", 0x101, MessageType.NOTIFICATION, 16, QoS(priority=0x210)),
+    ("fusion", "brake1", 0x400, MessageType.REQUEST, 8, QOS_CONTROL),
+    ("brake2", "brake1", 0x401, MessageType.NOTIFICATION, 12, QoS(priority=0x500)),
+)
+
+
+def outage_topology() -> Topology:
+    """Two CAN legs and a FlexRay cluster behind gateways, each gateway
+    on both the Ethernet backbone and a redundant Ethernet ring."""
+    topo = Topology("outage")
+    for name in ("can_front", "can_rear"):
+        topo.add_bus(BusSpec(name, "can", 500_000.0))
+    topo.add_bus(BusSpec("flexray_chassis", "flexray", 10_000_000.0))
+    for name in ("eth_backbone", "eth_ring"):
+        topo.add_bus(BusSpec(name, "ethernet", 100e6))
+    eth2 = (("eth0", "ethernet"), ("eth1", "ethernet"))
+    legs = (("can_front", "can0", "can", ("sensor1", "sensor2"), "gw_front"),
+            ("can_rear", "can0", "can", ("actuator1", "actuator2"), "gw_rear"),
+            ("flexray_chassis", "fr0", "flexray", ("brake1", "brake2"),
+             "gw_chassis"))
+    for _, port, tech, ecus, _ in legs:
+        for ecu in ecus:
+            topo.add_ecu(EcuSpec(ecu, ports=((port, tech),)))
+    topo.add_ecu(EcuSpec("cam", ports=(("eth0", "ethernet"),)))
+    topo.add_ecu(EcuSpec("fusion", ports=eth2))
+    for _, port, tech, _, gateway in legs:
+        topo.add_ecu(EcuSpec(gateway, ports=((port, tech),) + eth2))
+    for bus, port, _, ecus, gateway in legs:
+        for ecu in ecus + (gateway,):
+            topo.attach(ecu, port, bus)
+    for ecu in ("gw_front", "gw_rear", "gw_chassis", "fusion"):
+        topo.attach(ecu, "eth0", "eth_backbone")
+        topo.attach(ecu, "eth1", "eth_ring")
+    topo.attach("cam", "eth0", "eth_backbone")
+    return topo
+
+
+def outage_run() -> dict:
+    """Every flow sends once per round; the backbone is down for the
+    middle half of the rounds and the camera, which has no redundant
+    path, pauses for that window."""
+    sim = Simulator(tracer=Tracer(), metrics=MetricsRegistry())
+    net = VehicleNetwork(sim, outage_topology())
+    registry = ServiceRegistry()
+    endpoints = {
+        name: Endpoint(sim, net, name, registry)
+        for name in ("sensor1", "sensor2", "actuator1", "actuator2",
+                     "brake1", "brake2", "cam", "fusion")
+    }
+
+    fail_round = OUTAGE_ROUNDS // 4
+    repair_round = 3 * OUTAGE_ROUNDS // 4
+    # half a period off the round boundaries: never tied with a send
+    sim.at(fail_round * PERIOD - PERIOD / 2, net.fail_bus, "eth_backbone")
+    sim.at(repair_round * PERIOD - PERIOD / 2, net.repair_bus, "eth_backbone")
+    for r in range(OUTAGE_ROUNDS):
+        for src, dst, service, msg_type, size, qos in OUTAGE_FLOWS:
+            if src == "cam" and fail_round <= r < repair_round:
+                continue
+            message = Message(service_id=service, method_id=1,
+                              msg_type=msg_type, payload_bytes=size,
+                              src=src, dst=dst,
+                              session_id=sim.next_session_id())
+            sim.at(r * PERIOD, endpoints[src].send, message, qos)
+    sim.run()
+    return record(sim, net, endpoints)
+
+
 def golden_records() -> dict:
-    return {"faulted": faulted_run(), "toggled": toggled_run()}
+    return {"faulted": faulted_run(), "toggled": toggled_run(),
+            "outage": outage_run()}
 
 
 class TestDeliveryGolden:
@@ -166,6 +260,10 @@ class TestDeliveryGolden:
         delivered = sum(bus["frames_delivered"]
                         for bus in toggled["buses"].values())
         assert 0 < counted < delivered
+        # the outage run rerouted over the ring and paused the camera
+        outage = golden["outage"]
+        assert outage["buses"]["eth_ring"]["frames_delivered"] > 0
+        assert outage["received"]["fusion"] == OUTAGE_ROUNDS + OUTAGE_ROUNDS // 2
 
 
 if __name__ == "__main__":

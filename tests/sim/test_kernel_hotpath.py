@@ -7,6 +7,8 @@ contracts — (time, priority, insertion-order) tie-breaking, waiter wake
 order, and live-count accounting — that must survive them.
 """
 
+import hashlib
+
 import pytest
 
 from repro.errors import SimulationError
@@ -405,3 +407,52 @@ class TestHandleAfterDispatch:
         reused = sim.schedule(1.0, lambda: None)
         assert reused is call
         assert sim.schedule(1.0, lambda: None) is not call
+
+
+def kernel_workload(sim, *, chains=20, chain_length=60, fanout=4,
+                    cancel_every=3):
+    """Timer chains whose links fire a fresh signal to ``fanout`` waiters
+    and, every ``cancel_every``-th link, schedule a far decoy that is
+    cancelled in batches of 64.  Returns (callbacks run, link order)."""
+    executed = [0]
+    order = []
+    decoys = []
+
+    def count(_value):
+        executed[0] += 1
+
+    def link(chain_id, depth):
+        executed[0] += 1
+        order.append((chain_id, depth, sim.now))
+        if depth % cancel_every == 0:
+            decoys.append(sim.schedule(1e6, count, None))
+            if len(decoys) >= 64:
+                for handle in decoys:
+                    handle.cancel()
+                decoys.clear()
+        signal = sim.signal()
+        for _ in range(fanout):
+            signal.add_callback(count)
+        signal.fire(depth)
+        if depth < chain_length:
+            sim.schedule(1e-6 * ((chain_id + depth) % 7 + 1),
+                         link, chain_id, depth + 1)
+
+    for chain_id in range(chains):
+        sim.schedule(1e-6 * chain_id, link, chain_id, 1)
+    sim.run()
+    return executed[0], order
+
+
+class TestKernelWorkload:
+    def test_event_count_and_link_order_are_pinned(self):
+        """Pinned at commit ``bbdfa5f``, where the frozen pre-optimisation
+        kernel (one heap push per signal waiter, tuple comparisons, lazy
+        cancellation) gave the same figures: 20 chains x 60 links x (1 + 4
+        waiters), plus the 16 decoys of the last, never-cancelled batch,
+        with every link at the same instant and in the same order."""
+        executed, order = kernel_workload(Simulator())
+        assert executed == 6016
+        assert len(order) == 1200
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == (
+            "ee7b6444d03a1a091b6385b860e0092998199f49930b73bed81006d4837b4222")

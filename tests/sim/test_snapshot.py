@@ -20,6 +20,8 @@ from repro.faults.campaign import (
 from repro.sim import RngStreams, Simulator, Timeout, Tracer
 from repro.sim.snapshot import SimSnapshot, SnapshotError, fork_world
 
+from ..exec.test_fork_equality import HEAVY_CHAOS_SPEC
+
 
 def trace_json(sim):
     return [entry.to_json() for entry in sim.tracer.entries]
@@ -227,6 +229,24 @@ class TestSnapshotDeterminismMatrix:
             # capturing must not have perturbed the source world
             source.run(until=end)
             assert trace_json(source) == straight
+
+    def test_heavy_base_mid_soak_restore_equals_straight_run(self):
+        """The same bar on a base that dwarfs its soak (four
+        triple-redundant nodes), snapshotted halfway through the soak."""
+        spec = HEAVY_CHAOS_SPEC
+        sim, _ = build_chaos_world(spec)
+        start, end = sim.now, sim.now + spec.soak_time
+        sim.run(until=end)
+        straight = trace_json(sim)
+        assert straight
+
+        source, _ = build_chaos_world(spec)
+        source.run(until=start + 0.5 * spec.soak_time)
+        restored = source.snapshot().restore()
+        restored.run(until=end)
+        source.run(until=end)
+        assert trace_json(restored) == straight
+        assert trace_json(source) == straight
 
     def test_fork_per_variant_equals_rebuild(self):
         # same world forked twice with the same workload seed stays
