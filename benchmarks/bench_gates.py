@@ -25,6 +25,7 @@ import resource
 import subprocess
 import sys
 from time import perf_counter
+from typing import Tuple
 
 import pytest
 
@@ -53,6 +54,8 @@ REDISPATCH_OVERHEAD_CEILING = 0.15
 #: peak-RSS growth allowed while the fleet grows by RSS_FLEET_GROWTH
 RSS_GROWTH_CEILING = 2.0
 RSS_FLEET_GROWTH = 100
+#: peak-RSS growth allowed per vehicle of that larger fleet, in bytes
+RSS_PER_VEHICLE_CEILING = 1024
 #: cost of an attached kernel sanitizer on a message-heavy soak
 SANITIZER_OVERHEAD_CEILING = 0.05
 #: cost of an armed fault injector whose faults never open
@@ -136,33 +139,43 @@ def test_inline_vehicles_per_second():
         f"{rate:.1f} vehicles/s < floor {VEHICLES_PER_SEC_FLOOR:.1f}")
 
 
-def fleet_rss_growth(small: int) -> float:
+def fleet_rss_growth(small: int) -> Tuple[float, float]:
     """Peak RSS after a ``RSS_FLEET_GROWTH`` times larger inline fleet
-    over peak RSS after a small one, in this process."""
+    over peak RSS after a small one, in this process, and the growth in
+    bytes per vehicle of the larger fleet."""
     executor = get_inline_executor()
     snapshots = build_fleet_snapshots(fleet_spec(small), tags=("old",))
     run_fleet(fleet_spec(small), executor=executor, snapshots=snapshots)
     rss_small = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    run_fleet(fleet_spec(small * RSS_FLEET_GROWTH), executor=executor,
-              snapshots=snapshots)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_small
+    large = small * RSS_FLEET_GROWTH
+    run_fleet(fleet_spec(large), executor=executor, snapshots=snapshots)
+    rss_large = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux
+    return rss_large / rss_small, (rss_large - rss_small) * 1024 / large
 
 
 def test_rss_growth_over_a_100x_fleet():
     """Memory is O(shards), not O(vehicles).  Measured in a fresh
     interpreter: ``ru_maxrss`` never falls, so earlier tests in this
-    process would raise the small-fleet baseline and hide growth."""
+    process would raise the small-fleet baseline and hide growth.
+
+    The ratio alone compares against the interpreter's baseline, so a
+    small leak per vehicle hides under it; the per-vehicle bound does
+    not."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = [os.path.join(os.path.dirname(here), "src"), here]
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys; sys.path[:0] = {path!r}; import bench_gates; "
-         "print(bench_gates.fleet_rss_growth(50))"],
+         "print(*bench_gates.fleet_rss_growth(50))"],
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
-    growth = float(out.split()[-1])
+    growth, per_vehicle = map(float, out.split()[-2:])
     assert growth < RSS_GROWTH_CEILING, (
         f"peak RSS grew {growth:.3f}x over a {RSS_FLEET_GROWTH}x fleet")
+    assert per_vehicle < RSS_PER_VEHICLE_CEILING, (
+        f"peak RSS grew {per_vehicle:.0f} B per vehicle over a "
+        f"{RSS_FLEET_GROWTH}x fleet")
 
 
 # -- redispatch overhead under executor chaos ------------------------------

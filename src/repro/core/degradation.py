@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from ..errors import AdmissionError, PlatformError
+from ..obs.metrics import identity
 from .application import AppState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .monitor import RuntimeMonitor
     from .platform import DynamicPlatform
+
+
+#: mode transition counters, reserved by every controller
+_ENTER = identity("counter", "degradation.enter")
+_EXIT = identity("counter", "degradation.exit")
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,8 @@ class DegradationController:
         self.entries = 0
         self.exits = 0
         self.skipped_actions = 0
-        metrics = self.sim.metrics
-        self._m_enter = metrics.counter("degradation.enter")
-        self._m_exit = metrics.counter("degradation.exit")
+        # reserved: materialised by the first transition only
+        self.sim.metrics.reserve((_ENTER, _EXIT))
 
     # -- declaration -------------------------------------------------------
 
@@ -124,7 +129,7 @@ class DegradationController:
         self.active[name] = event
         self.events.append(event)
         self.entries += 1
-        self._m_enter.inc()
+        self.sim.metrics.materialise(_ENTER).inc()
         self.sim.trace("platform.degradation", mode=name, action="enter", trigger=trigger)
         return True
 
@@ -144,7 +149,7 @@ class DegradationController:
         )
         self.events.append(event)
         self.exits += 1
-        self._m_exit.inc()
+        self.sim.metrics.materialise(_EXIT).inc()
         self.sim.trace("platform.degradation", mode=name, action="exit", trigger=trigger)
         return True
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..network import TrafficClass, VehicleNetwork
+from ..obs.metrics import Counter, Histogram, Identity, identity
 from ..sim import Signal, Simulator
 from .registry import ServiceRegistry
 from .wire import (
@@ -50,8 +51,35 @@ QOS_DEFAULT = QoS()
 QOS_BULK = QoS(priority=0x700, traffic_class=TrafficClass.NON_DETERMINISTIC)
 
 
+#: message type value -> paradigm label of its delivery-latency histogram;
+#: any other type counts as "control"
+_PARADIGMS = {
+    MessageType.NOTIFICATION._value_: "event",
+    MessageType.REQUEST._value_: "message",
+    MessageType.RESPONSE._value_: "message",
+    MessageType.STREAM_SAMPLE._value_: "stream",
+}
+#: ECU name -> (``mw.messages`` key, paradigm -> delivery-latency key)
+_ENDPOINT_KEYS: Dict[str, Tuple[Identity, Dict[str, Identity]]] = {}
+
+
+def _endpoint_keys(ecu_name: str) -> Tuple[Identity, Dict[str, Identity]]:
+    keys = _ENDPOINT_KEYS.get(ecu_name)
+    if keys is None:
+        keys = _ENDPOINT_KEYS[ecu_name] = (
+            identity("counter", "mw.messages", ecu=ecu_name),
+            {paradigm: identity("histogram", "mw.delivery_latency",
+                                ecu=ecu_name, paradigm=paradigm)
+             for paradigm in ("event", "message", "stream", "control")},
+        )
+    return keys
+
+
 class Endpoint:
     """Middleware instance bound to one ECU."""
+
+    #: the ``mw.messages`` handle, ``None`` until the first delivery
+    _m_received = None
 
     def __init__(
         self,
@@ -82,28 +110,27 @@ class Endpoint:
         self.messages_received = 0
         self.frames_discarded = 0
         self.detached = False
-        # cached per-paradigm delivery-latency histograms (send accept to
-        # full reassembly at the destination); no-ops while metrics are off
-        metrics = sim.metrics
-        self._m_received = metrics.counter("mw.messages", ecu=ecu_name)
-        self._m_latency = {
-            MessageType.NOTIFICATION._value_: metrics.histogram(
-                "mw.delivery_latency", ecu=ecu_name, paradigm="event"
-            ),
-            MessageType.REQUEST._value_: metrics.histogram(
-                "mw.delivery_latency", ecu=ecu_name, paradigm="message"
-            ),
-            MessageType.RESPONSE._value_: metrics.histogram(
-                "mw.delivery_latency", ecu=ecu_name, paradigm="message"
-            ),
-            MessageType.STREAM_SAMPLE._value_: metrics.histogram(
-                "mw.delivery_latency", ecu=ecu_name, paradigm="stream"
-            ),
-        }
-        self._m_latency_other = metrics.histogram(
-            "mw.delivery_latency", ecu=ecu_name, paradigm="control"
-        )
+        # per-paradigm delivery-latency histograms (send accept to full
+        # reassembly at the destination), reserved here and materialised
+        # at first use: an endpoint that receives nothing owns none.
+        # No-ops while metrics are off
+        received, latency = _endpoint_keys(ecu_name)
+        sim.metrics.reserve((received, *latency.values()))
+        #: message type value -> its latency histogram, filled at first use
+        self._m_latency: Dict[str, Histogram] = {}
         network.register_receiver(ecu_name, self._on_frame)
+
+    def _materialise_received(self) -> Counter:
+        counter = self._m_received = self.sim.metrics.materialise(
+            _endpoint_keys(self.ecu_name)[0])
+        return counter
+
+    def _materialise_latency(self, msg_type: str) -> Histogram:
+        # REQUEST and RESPONSE share the "message" histogram: the second
+        # materialise returns the first one's instrument
+        key = _endpoint_keys(self.ecu_name)[1][_PARADIGMS.get(msg_type, "control")]
+        hist = self._m_latency[msg_type] = self.sim.metrics.materialise(key)
+        return hist
 
     # -- handler registration ---------------------------------------------------
 
@@ -248,12 +275,11 @@ class Endpoint:
                 done.fire(message)
 
     def _dispatch(self, message: Message) -> None:
-        self._m_received.inc()
+        (self._m_received or self._materialise_received()).inc()
         msg_type = message.msg_type._value_
         if message.sent_at is not None:
-            self._m_latency.get(msg_type, self._m_latency_other).observe(
-                self.sim.now - message.sent_at
-            )
+            hist = self._m_latency.get(msg_type) or self._materialise_latency(msg_type)
+            hist.observe(self.sim.now - message.sent_at)
         if self.sim.tracer.enabled:
             self.sim.trace(
                 "mw.delivery",

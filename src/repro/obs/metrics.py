@@ -20,13 +20,29 @@ Design rules:
   slot-state dict: every snapshot restore rebuilds the world's whole
   registry, and handle aliasing between a component and the registry
   survives through the pickle memo.
+* **Identities are interned.**  A registry key ``(kind, name, labels)``
+  is one process-wide tuple per distinct identity.  A registry pickles
+  as a flat entry list without its keys, and unpickling looks each
+  identity up in the intern table and gives the instrument the
+  canonical label tuple, so a restored world rebuilds none of its keys
+  or label tuples: the ones the unpickler built die by refcount at once.
+* **Reserved zeros cost nothing.**  A component that may never count
+  (an idle core) reserves its identities instead of creating them: the
+  registry holds the identity's shared zero entry, one per identity per
+  process, which reports exactly as an eager zero instrument does and
+  pickles as its identity alone.  The first handle request materialises
+  a private instrument in the entry's place, keeping its position, so
+  iteration order, snapshots and merges match the eager registry.
+  Shared zeros carry ``_enabled = None``: counting into one is a no-op,
+  and the registry never folds into one in place.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Label set normalised to a hashable, order-independent key component.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -72,6 +88,24 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+#: An instrument's registry key: ``(kind, name, labels)``.
+Identity = Tuple[str, str, LabelKey]
+
+#: every identity met in this process -> its one canonical key tuple.
+#: Bounded like ``_FULL_NAMES``: one entry per distinct identity, however
+#: many registries the process builds, restores or collects.
+_IDENTITIES: Dict[Identity, Identity] = {}
+
+
+def _intern(key: Identity) -> Identity:
+    return _IDENTITIES.setdefault(key, key)
+
+
+def identity(kind: str, name: str, **labels: Any) -> Identity:
+    """The canonical key of an instrument, for :meth:`MetricsRegistry.reserve`."""
+    return _intern((kind, name, _label_key(labels)))
+
+
 #: (name, labels) -> formatted full name.  A pure function of its key,
 #: so every registry in the process can share it.  Instruments are
 #: labelled by bus, ECU, core, service and fault kind, so the memo holds
@@ -94,7 +128,11 @@ def _format_name(name: str, labels: LabelKey) -> str:
 
 
 class Instrument:
-    """Base of all metric instruments."""
+    """Base of all metric instruments.
+
+    ``_enabled`` is ``None`` on a shared zero entry (see the module
+    docstring), which no operation changes.
+    """
 
     kind = "instrument"
     __slots__ = ("name", "labels", "_enabled")
@@ -338,6 +376,50 @@ def _histogram(name: str, labels: LabelKey, enabled: bool, growth: float,
     return hist
 
 
+def _copy(instrument: Instrument, enabled: bool) -> Instrument:
+    """A private instrument with ``instrument``'s identity and state."""
+    if instrument.kind == "histogram":
+        return _histogram(
+            instrument.name, instrument.labels, enabled, instrument.growth,
+            instrument.count, instrument.min, instrument.max,
+            dict(instrument._buckets), instrument._zero_count,
+            list(instrument._partials),
+        )
+    return _scalar(type(instrument), instrument.name, instrument.labels,
+                   enabled, instrument.value)
+
+
+_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+#: identity -> its shared zero entry, built at the first reservation
+_ZEROS: Dict[Identity, Instrument] = {}
+
+
+def _zero(key: Identity) -> Instrument:
+    zero = _ZEROS.get(key)
+    if zero is None:
+        kind, name, labels = key
+        zero = _ZEROS[key] = _CLASSES[kind](name, labels, None)
+    return zero
+
+
+def _registry(enabled: bool, entries: List[Any]) -> "MetricsRegistry":
+    """Unpickle a :class:`MetricsRegistry` from its flat entry list:
+    instruments, and the bare identities of its shared zero entries."""
+    registry = MetricsRegistry.__new__(MetricsRegistry)
+    registry._enabled = enabled
+    instruments = registry._instruments = {}
+    for entry in entries:
+        if type(entry) is tuple:
+            key = _intern(entry)
+            instruments[key] = _zero(key)
+        else:
+            key = _intern((entry.kind, entry.name, entry.labels))
+            entry.labels = key[2]
+            instruments[key] = entry
+    return registry
+
+
 class MetricsRegistry:
     """Creates and owns instruments, keyed by ``(name, labels)``.
 
@@ -348,7 +430,13 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
-        self._instruments: Dict[Tuple[str, str, LabelKey], Instrument] = {}
+        self._instruments: Dict[Identity, Instrument] = {}
+
+    def __reduce__(self) -> tuple:
+        return _registry, (self._enabled, [
+            instrument if instrument._enabled is not None else key
+            for key, instrument in self._instruments.items()
+        ])
 
     # -- lifecycle -------------------------------------------------------
 
@@ -358,15 +446,17 @@ class MetricsRegistry:
 
     def enable(self) -> None:
         """Turn collection on for every existing and future instrument."""
-        self._enabled = True
-        for instrument in self._instruments.values():
-            instrument._enabled = True
+        self._set_enabled(True)
 
     def disable(self) -> None:
         """Stop collection; cached handles become near-free no-ops."""
-        self._enabled = False
+        self._set_enabled(False)
+
+    def _set_enabled(self, enabled: bool) -> None:
+        self._enabled = enabled
         for instrument in self._instruments.values():
-            instrument._enabled = False
+            if instrument._enabled is not None:
+                instrument._enabled = enabled
 
     # -- instrument factories -------------------------------------------
 
@@ -379,20 +469,49 @@ class MetricsRegistry:
     def histogram(
         self, name: str, *, growth: float = 1.1, **labels: Any
     ) -> Histogram:
-        key = ("histogram", name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = Histogram(name, key[2], self._enabled, growth=growth)
-            self._instruments[key] = instrument
-        return instrument  # type: ignore[return-value]
+        return self._get_or_create("histogram", partial(Histogram, growth=growth),
+                                   name, labels)
 
     def _get_or_create(self, kind, cls, name: str, labels: Dict[str, Any]):
         key = (kind, name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
+            key = _intern(key)
             instrument = cls(name, key[2], self._enabled)
             self._instruments[key] = instrument
+        elif instrument._enabled is None:
+            instrument = self.materialise(key)
         return instrument
+
+    def reserve(self, keys: Iterable[Identity]) -> None:
+        """Register instruments that may never be used, at no cost.
+
+        Each canonical key (from :func:`identity`) not yet registered
+        gets its shared zero entry; histograms take the default growth.
+        The registry reports a reserved instrument as a zero one until
+        :meth:`materialise` or a factory call hands out a private one.
+        """
+        instruments = self._instruments
+        for key in keys:
+            if key not in instruments:
+                instruments[key] = _zero(key)
+
+    def materialise(self, key: Identity) -> Instrument:
+        """The instrument registered under canonical ``key``, made
+        private first if it is a reserved zero (or created if absent)."""
+        instruments = self._instruments
+        instrument = instruments.get(key)
+        if instrument is None:
+            instrument = _zero(key)
+        if instrument._enabled is None:
+            instrument = instruments[key] = _copy(instrument, self._enabled)
+        return instrument
+
+    def lookup(self, kind: str, name: str, **labels: Any) -> Optional[Instrument]:
+        """The instrument registered as ``(kind, name, labels)``, for
+        reading: a reserved one is returned as its shared zero entry, and
+        nothing is created or materialised.  ``None`` if unregistered."""
+        return self._instruments.get((kind, name, _label_key(labels)))
 
     # -- merging ---------------------------------------------------------
 
@@ -411,21 +530,12 @@ class MetricsRegistry:
             return
         # into an empty registry every instrument is a fresh copy: build
         # it flat, as unpickling does, instead of through __init__ and a
-        # fold into zero
+        # fold into zero; a shared zero entry is shared, not copied
         enabled = self._enabled
         instruments = self._instruments
         for key, theirs in other._instruments.items():
-            kind, name, labels = key
-            if kind == "histogram":
-                mine = _histogram(
-                    name, labels, enabled, theirs.growth, theirs.count,
-                    theirs.min, theirs.max, dict(theirs._buckets),
-                    theirs._zero_count, list(theirs._partials),
-                )
-            else:
-                mine = _scalar(type(theirs), name, labels, enabled,
-                               theirs.value)
-            instruments[key] = mine
+            instruments[key] = (theirs if theirs._enabled is None
+                                else _copy(theirs, enabled))
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one, commutatively.
@@ -446,6 +556,17 @@ class MetricsRegistry:
         for key, theirs in other._instruments.items():
             kind, name, labels = key
             mine = instruments.get(key)
+            if theirs._enabled is None:
+                # a shared zero entry folds in as the zero it reports:
+                # where nothing or a zero entry stands, the result is
+                # that zero
+                if mine is None:
+                    instruments[key] = theirs
+                    continue
+                if mine._enabled is None:
+                    continue
+            elif mine is not None and mine._enabled is None:
+                mine = self.materialise(key)
             if kind == "counter":
                 if mine is None:
                     mine = instruments[key] = Counter(name, labels,

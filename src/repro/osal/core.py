@@ -12,15 +12,18 @@ multicore deployments).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
+from ..obs.metrics import Identity, Instrument, identity
 from ..sim import PRIORITY_NORMAL, PRIORITY_URGENT, ScheduledCall, Simulator
 from .task import Job, TaskSpec
 
 
 class SchedulingPolicy:
     """Chooses the next job to run.  Stateless unless a subclass says so."""
+
+    __slots__ = ()
 
     #: Whether an arriving higher-priority job may preempt a running one.
     preemptive = True
@@ -64,6 +67,27 @@ class SchedulingPolicy:
         return type(self).__name__
 
 
+#: a core's instruments: handle attribute -> (kind, name), labelled by core
+_CORE_METRICS = {
+    "_m_releases": ("counter", "os.releases"),
+    "_m_misses": ("counter", "os.deadline_misses"),
+    "_m_preemptions": ("counter", "os.preemptions"),
+    "_m_response": ("histogram", "os.response"),
+}
+#: core name -> handle attribute -> canonical key of the instrument
+_CORE_KEYS: Dict[str, Dict[str, Identity]] = {}
+
+
+def _core_keys(name: str) -> Dict[str, Identity]:
+    keys = _CORE_KEYS.get(name)
+    if keys is None:
+        keys = _CORE_KEYS[name] = {
+            attr: identity(kind, metric, core=name)
+            for attr, (kind, metric) in _CORE_METRICS.items()
+        }
+    return keys
+
+
 class Core:
     """One processing core of an ECU."""
 
@@ -74,6 +98,16 @@ class Core:
     #: ``_due_seq`` is ``None`` until the first one.
     _due: Optional[float] = None
     _due_seq: Optional[int] = None
+
+    #: per-core instrument handles, ``None`` until first used: the core
+    #: reserves its instruments at construction and :meth:`_materialise`
+    #: makes one private when it first counts, so a core that never
+    #: releases a job, misses or is preempted owns no instrument.  The
+    #: handles are no-ops while metrics are disabled.
+    _m_releases = None
+    _m_misses = None
+    _m_preemptions = None
+    _m_response = None
 
     def __init__(
         self,
@@ -102,7 +136,12 @@ class Core:
         #: unaffected by trimming.
         self.job_history_limit: Optional[int] = None
         self.busy_time = 0.0
-        self._completion_listeners: List[Callable[[Job], None]] = []
+        #: completion callbacks.  The shared empty tuple until the first
+        #: :meth:`on_completion`, so a listener-free core carries no
+        #: container of its own; an instance attribute, not a class
+        #: default, because it is read per job and CPython 3.11 does not
+        #: specialise loads that fall through to the class
+        self._completion_listeners: Tuple[Callable[[Job], None], ...] = ()
         self.halted = False
         self._parked_until: Optional[float] = None
         #: fault-injection hook consulted per activation.  ``None`` (the
@@ -119,12 +158,7 @@ class Core:
         #: activation instants later than ``clock_drift_since``.
         self.clock_drift = 0.0
         self.clock_drift_since = 0.0
-        # cached per-core instruments; no-ops while metrics are disabled
-        metrics = sim.metrics
-        self._m_releases = metrics.counter("os.releases", core=name)
-        self._m_misses = metrics.counter("os.deadline_misses", core=name)
-        self._m_preemptions = metrics.counter("os.preemptions", core=name)
-        self._m_response = metrics.histogram("os.response", core=name)
+        sim.metrics.reserve(_core_keys(name).values())
 
     # -- public API ----------------------------------------------------------
 
@@ -137,7 +171,7 @@ class Core:
             # _touch, inlined on the per-job path
             call = sim.dispatching
             self.settle_deferred(call.time, call.priority, call.seq)
-        self._m_releases.inc()
+        (self._m_releases or self._materialise("_m_releases")).inc()
         # guarded like every per-event trace: no kwargs dict when off
         if sim.tracer.enabled:
             sim.trace(
@@ -218,7 +252,7 @@ class Core:
     def on_completion(self, listener: Callable[[Job], None]) -> None:
         """Register a callback invoked for every finished job."""
         self._touch()
-        self._completion_listeners.append(listener)
+        self._completion_listeners += (listener,)
 
     def halt(self) -> None:
         """Stop the core (ECU failure): drop all work, accept nothing new."""
@@ -298,6 +332,13 @@ class Core:
             due, self._complete, (), PRIORITY_NORMAL, self._due_seq)
         return True
 
+    def _materialise(self, attr: str) -> Instrument:
+        """Make the reserved instrument behind handle ``attr`` private in
+        the core's registry, keep the handle and return it."""
+        instrument = self.sim.metrics.materialise(_core_keys(self.name)[attr])
+        setattr(self, attr, instrument)
+        return instrument
+
     def _touch(self) -> None:
         """Resolve a held-back completion against the event in dispatch,
         before anything reads or changes the core."""
@@ -366,7 +407,7 @@ class Core:
             # never actually executed, so it has not "started" yet
             job.start_time = None
         job.preemptions += 1
-        self._m_preemptions.inc()
+        (self._m_preemptions or self._materialise("_m_preemptions")).inc()
         self.ready.append(job)
         self.current = None
         if self.sim.tracer.enabled:
@@ -457,9 +498,9 @@ class Core:
         # the Job.response_time / Job.missed_deadline formulas, computed once
         response = now - job.release_time
         missed = now > job.absolute_deadline + 1e-12
-        self._m_response.observe(response)
+        (self._m_response or self._materialise("_m_response")).observe(response)
         if missed:
-            self._m_misses.inc()
+            (self._m_misses or self._materialise("_m_misses")).inc()
         sim = self.sim
         if sim.tracer.enabled:
             sim.trace(

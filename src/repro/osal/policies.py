@@ -43,6 +43,8 @@ def _fixed_priority_key(job: Job) -> tuple:
 class FixedPriorityPolicy(SchedulingPolicy):
     """Preemptive fixed-priority scheduling (rate-monotonic by default)."""
 
+    __slots__ = ()
+
     preemptive = True
     quantum = None
 
@@ -55,6 +57,8 @@ class FixedPriorityPolicy(SchedulingPolicy):
 class EdfPolicy(SchedulingPolicy):
     """Preemptive earliest-deadline-first scheduling."""
 
+    __slots__ = ()
+
     preemptive = True
     quantum = None
 
@@ -66,6 +70,8 @@ class EdfPolicy(SchedulingPolicy):
 
 class FifoPolicy(SchedulingPolicy):
     """Non-preemptive run-to-completion in arrival order (bare-metal loop)."""
+
+    __slots__ = ()
 
     preemptive = False
     quantum = None
@@ -86,6 +92,8 @@ class FairSharePolicy(SchedulingPolicy):
     """
 
     preemptive = False  # rotation happens at quantum boundaries only
+
+    __slots__ = ("quantum", "_rotation")
 
     def __init__(self, quantum: float = 0.001) -> None:
         if quantum <= 0:
@@ -119,6 +127,8 @@ class BudgetServer:
     budget replenishes to full at every period boundary.  This caps NDA
     interference on the core while guaranteeing NDAs a minimum share.
     """
+
+    __slots__ = ("capacity", "period", "_budget", "_last_replenish")
 
     def __init__(self, capacity: float, period: float) -> None:
         if capacity <= 0 or period <= 0 or capacity > period:
@@ -171,6 +181,9 @@ class MixedCriticalityPolicy(SchedulingPolicy):
 
     preemptive = True
 
+    __slots__ = ("server", "nda_quantum", "quantum", "_rr", "_last_pick_nda",
+                 "_last_dispatch_time")
+
     def __init__(
         self,
         server: Optional[BudgetServer] = None,
@@ -179,7 +192,8 @@ class MixedCriticalityPolicy(SchedulingPolicy):
         self.server = server
         self.nda_quantum = nda_quantum
         self.quantum: Optional[float] = None  # set per dispatch
-        self._rr = FairSharePolicy(quantum=nda_quantum)
+        #: the NDA round-robin helper, built at the first NDA pick
+        self._rr: Optional[FairSharePolicy] = None
         self._last_pick_nda = False
         self._last_dispatch_time: Optional[float] = None
 
@@ -205,7 +219,10 @@ class MixedCriticalityPolicy(SchedulingPolicy):
             self.quantum = min(self.nda_quantum, budget)
         else:
             self.quantum = self.nda_quantum
-        choice = self._rr.pick(ready, now)
+        rr = self._rr
+        if rr is None:
+            rr = self._rr = FairSharePolicy(quantum=self.nda_quantum)
+        choice = rr.pick(ready, now)
         if choice is not None:
             self._last_pick_nda = True
             self._last_dispatch_time = now
@@ -240,7 +257,8 @@ class MixedCriticalityPolicy(SchedulingPolicy):
         self._last_pick_nda = False
 
     def on_quantum_expired(self, job: Job, ready: List[Job]) -> None:
-        self._rr.on_quantum_expired(job, ready)
+        if self._rr is not None:
+            self._rr.on_quantum_expired(job, ready)
 
     def next_wakeup(self, now: float) -> Optional[float]:
         if self.server is None:

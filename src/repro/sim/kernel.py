@@ -28,10 +28,13 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Union
 
 from ..errors import SimulationError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, identity
 from ..obs.profiler import KernelProfiler
 from .events import PRIORITY_NORMAL, PRIORITY_URGENT, EventQueue, ScheduledCall
 from .trace import Tracer
+
+#: the ``sim.crashes`` counter, reserved by every simulator
+_CRASHES = identity("counter", "sim.crashes")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .snapshot import SimSnapshot
@@ -304,7 +307,8 @@ class Simulator:
         #: the ``sim.events`` counter.  A settler that performs a held
         #: event in place counts it here, as its dispatch would have
         self.events_counter = self.metrics.counter("sim.events")
-        self._m_crashes = self.metrics.counter("sim.crashes")
+        # reserved: materialised by the first crash only
+        self.metrics.reserve((_CRASHES,))
         self._crashed_processes: List[Process] = []
         self._running = False
         #: the call :meth:`run` is dispatching; ``None`` outside ``run()``
@@ -636,7 +640,7 @@ class Simulator:
         # Drain everything: a crash must never resurface on an unrelated
         # later run() call, and defused crashes must not abort anything.
         crashed, self._crashed_processes = self._crashed_processes, []
-        self._m_crashes.inc(len(crashed))
+        self.metrics.materialise(_CRASHES).inc(len(crashed))
         fatal = [p for p in crashed if not p.defused]
         if not fatal:
             return

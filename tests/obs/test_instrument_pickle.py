@@ -1,21 +1,35 @@
 """Compact instrument pickling and the per-job collect path.
 
 Counters, gauges and histograms pickle through ``__reduce__`` to a flat
-state tuple.  These tests pin that every field round-trips exactly,
-that handles shared between a component and the registry stay one
-object across a snapshot restore, and that ``snapshot()``, ``absorb()``
-and ``merge()`` output is byte-identical to the committed golden file.
+state tuple, and a registry to a flat entry list whose identities are
+interned on load.  These tests pin that every field round-trips
+exactly, that handles shared between a component and the registry stay
+one object across a snapshot restore, that ``snapshot()``, ``absorb()``
+and ``merge()`` output is byte-identical to the committed golden file,
+and that pickles written by older trees still load.
 """
 
+import base64
 import copy
+import inspect
 import json
 import os
 import pickle
 
 import pytest
 
+from repro.fleet import FleetDigest
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import (
+    _IDENTITIES,
+    _ZEROS,
+    Counter,
+    Gauge,
+    Histogram,
+    _histogram,
+    _scalar,
+    identity,
+)
 from repro.sim import Simulator
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_collect.json")
@@ -199,3 +213,72 @@ class TestCollectGolden:
         with open(GOLDEN, encoding="utf-8") as fh:
             golden = fh.read()
         assert json.dumps(collect_outputs(), indent=1) + "\n" == golden
+
+
+#: ``pickle.dumps(registry, HIGHEST_PROTOCOL)`` of the registry below,
+#: written before registries pickled through ``__reduce__`` (copyreg's
+#: ``__newobj__`` with the ``_enabled`` / ``_instruments`` state dict)
+OLD_FORMAT_REGISTRY = base64.b64decode(
+    "gAWVmgEAAAAAAACMEXJlcHJvLm9icy5tZXRyaWNzlIwPTWV0cmljc1JlZ2lzdHJ5lJOUKYGU"
+    "fZQojAhfZW5hYmxlZJSIjAxfaW5zdHJ1bWVudHOUfZQojAdjb3VudGVylIwKbmV0LmZyYW1l"
+    "c5SMA2J1c5SMBGNhbjCUhpSFlIeUaACMB19zY2FsYXKUk5QoaACMB0NvdW50ZXKUk5RoCWgN"
+    "iEdACAAAAAAAAHSUUpSMBWdhdWdllIwEdGVtcJQph5RoEChoAIwFR2F1Z2WUk5RoFimIR8AM"
+    "AAAAAAAAdJRSlIwJaGlzdG9ncmFtlIwLb3MucmVzcG9uc2WUjARjb3JllIwCYzCUhpSFlIeU"
+    "aACMCl9oaXN0b2dyYW2Uk5QoaB1oIYhHP/GZmZmZmZpLA0cAAAAAAAAAAEc/4AAAAAAAAH2U"
+    "KEq4////SwFK+f///0sBdUsBXZQoR7wwAAAAAAAARz/gCDEm6XjVZXSUUpRoCIwLb3MucmVs"
+    "ZWFzZXOUaB5oH4aUhZSHlGgQKGgSaCloK4hHAAAAAAAAAAB0lFKUdXViLg=="
+)
+
+
+def old_format_source():
+    reg = MetricsRegistry()
+    reg.counter("net.frames", bus="can0").inc(3)
+    reg.gauge("temp").set(-3.5)
+    hist = reg.histogram("os.response", core="c0")
+    for value in (0.001, 0.0, 0.5):
+        hist.observe(value)
+    reg.counter("os.releases", core="c0")
+    return reg
+
+
+class TestPickleCompatibility:
+    def test_flat_constructors_keep_their_signatures(self):
+        """Pickles in checkpoint records and shipped snapshots name these
+        two functions and pass their arguments by position."""
+        assert list(inspect.signature(_scalar).parameters) == [
+            "cls", "name", "labels", "enabled", "value"]
+        assert list(inspect.signature(_histogram).parameters) == [
+            "name", "labels", "enabled", "growth", "count", "low", "high",
+            "buckets", "zero_count", "partials"]
+
+    def test_fleet_digest_histograms_pickle_flat(self):
+        digest = FleetDigest()
+        digest.response.observe(0.002)
+        blob = pickle.dumps(digest, pickle.HIGHEST_PROTOCOL)
+        assert b"_histogram" in blob and b"_buckets" not in blob
+        assert pickle.loads(blob).to_json() == digest.to_json()
+
+    def test_old_format_registry_loads_and_keeps_counting(self):
+        reg = pickle.loads(OLD_FORMAT_REGISTRY)
+        source = old_format_source()
+        assert repr(reg.snapshot()) == repr(source.snapshot())
+        assert [i.full_name for i in reg] == [i.full_name for i in source]
+        for r in (reg, source):
+            r.counter("net.frames", bus="can0").inc()
+            r.counter("os.releases", core="c0").inc(2)
+            r.histogram("os.response", core="c0").observe(0.25)
+        assert repr(reg.snapshot()) == repr(source.snapshot())
+        again = pickle.loads(pickle.dumps(reg, pickle.HIGHEST_PROTOCOL))
+        assert repr(again.snapshot()) == repr(source.snapshot())
+
+    def test_restored_registry_uses_canonical_identities(self):
+        sim = Simulator(metrics=MetricsRegistry())
+        Component(sim.metrics)
+        sim.metrics.reserve([identity("counter", "idle", core="c9")])
+        world = sim.snapshot().restore()
+        for key, instrument in world.metrics._instruments.items():
+            assert _IDENTITIES[key] is key
+            assert instrument.labels is key[2]
+        assert list(world.metrics._instruments) == list(sim.metrics._instruments)
+        idle = world.metrics.lookup("counter", "idle", core="c9")
+        assert idle is _ZEROS[identity("counter", "idle", core="c9")]

@@ -9,14 +9,18 @@ contract down with hypothesis.
 """
 
 import json
+import math
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
+    _ZEROS,
     Histogram,
     MetricsRegistry,
     accumulate_exact,
     exact_total,
+    identity,
 )
 
 # Finite, non-NaN floats spanning many magnitudes so naive summation
@@ -207,3 +211,173 @@ class TestRegistryMerge:
         b.gauge("g").set(2.0)
         a.absorb(b)
         assert a.gauge("g").value == 2.0
+
+
+# -- reserved instruments ----------------------------------------------------
+#
+# A registry may hold *reserved* instruments: a shared zero entry per
+# identity, materialised into a private instrument at first use.  It must
+# be indistinguishable from the eager registry that created every
+# instrument up front, and no operation may change a shared zero entry.
+
+DECLS = st.lists(
+    st.tuples(
+        st.sampled_from(["counter", "gauge", "histogram"]),
+        st.sampled_from(["os.releases", "os.response", "x"]),
+        st.sampled_from(["c0", "c1", ""]),
+        st.booleans(),  # reserved in the lazy registry
+    ),
+    max_size=12,
+)
+USES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=11), VALUES, st.booleans()),
+    max_size=30,
+)
+
+
+def labels_of(label):
+    return {"core": label} if label else {}
+
+
+def handle(reg, kind, name, label, via_key):
+    """The instrument a component would count into; on the lazy side,
+    either through the flat key path or through the factory."""
+    if via_key:
+        return reg.materialise(identity(kind, name, **labels_of(label)))
+    if kind == "histogram":
+        return reg.histogram(name, **labels_of(label))
+    return getattr(reg, kind)(name, **labels_of(label))
+
+
+def build(decls, uses, lazy):
+    reg = MetricsRegistry()
+    for kind, name, label, reserved in decls:
+        if lazy and reserved:
+            reg.reserve([identity(kind, name, **labels_of(label))])
+        else:
+            handle(reg, kind, name, label, False)
+    use(reg, decls, uses, lazy)
+    return reg
+
+
+def use(reg, decls, uses, lazy):
+    for index, value, via_key in uses:
+        if not decls:
+            return
+        kind, name, label, _ = decls[index % len(decls)]
+        instrument = handle(reg, kind, name, label, lazy and via_key)
+        if kind == "counter":
+            instrument.inc(int(abs(value)) % 1000)
+        elif kind == "gauge":
+            instrument.set(value)
+        else:
+            instrument.observe(value)
+
+
+def view(reg):
+    """Everything a reader can see of a registry, order included."""
+    return repr((
+        reg.snapshot(),
+        reg.render(),
+        len(reg),
+        [(type(i).__name__, i.full_name, i.snapshot()) for i in reg],
+        [[(i.full_name, i.snapshot()) for i in reg.instruments(kind)]
+         for kind in (None, "counter", "gauge", "histogram")],
+    ))
+
+
+def assert_zeros_pristine():
+    """Every shared zero entry of the process still reads as built."""
+    for key, zero in _ZEROS.items():
+        assert zero._enabled is None, key
+        if zero.kind == "histogram":
+            assert (zero.count, zero.min, zero.max, zero.growth, zero._buckets,
+                    zero._zero_count, zero._partials) == (
+                        0, math.inf, -math.inf, 1.1, {}, 0, []), key
+        else:
+            assert repr(zero.value) == "0.0", key
+
+
+class TestReservedEquivalence:
+    @given(DECLS, USES, DECLS, USES, USES)
+    @settings(max_examples=150, deadline=None)
+    def test_reserved_registry_equals_eager(self, decls, uses, other_decls,
+                                            other_uses, later):
+        def pair(d=decls, u=uses):
+            return build(d, u, False), build(d, u, True)
+
+        def others():
+            return pair(other_decls, other_uses)
+
+        def same(eager, lazy):
+            assert view(lazy) == view(eager)
+            assert_zeros_pristine()
+
+        eager, lazy = pair()
+        same(eager, lazy)
+        # absorb: into an empty registry, into a non-empty one, and
+        # another registry into this one
+        for target in (lambda: MetricsRegistry(), lambda: build(
+                other_decls, other_uses, False)):
+            into_eager, into_lazy = target(), target()
+            into_eager.absorb(eager)
+            into_lazy.absorb(lazy)
+            same(into_eager, into_lazy)
+            use(into_eager, decls, later, False)
+            use(into_lazy, decls, later, True)
+            same(into_eager, into_lazy)
+        for other_eager, other_lazy in (others(), (MetricsRegistry(),) * 2):
+            eager, lazy = pair()
+            eager.absorb(other_eager)
+            lazy.absorb(other_lazy)
+            same(eager, lazy)
+        # merge, in both orders
+        eager, lazy = pair()
+        other_eager, other_lazy = others()
+        eager.merge(other_eager)
+        lazy.merge(other_lazy)
+        same(eager, lazy)
+        eager, lazy = pair()
+        other_eager, other_lazy = others()
+        other_eager.merge(eager)
+        other_lazy.merge(lazy)
+        same(other_eager, other_lazy)
+        same(eager, lazy)
+        # disable then enable: a disabled registry counts nothing, and
+        # instruments materialised while disabled count once enabled
+        eager, lazy = pair()
+        eager.disable()
+        lazy.disable()
+        use(eager, decls, later, False)
+        use(lazy, decls, later, True)
+        same(eager, lazy)
+        eager.enable()
+        lazy.enable()
+        use(eager, decls, later, False)
+        use(lazy, decls, later, True)
+        same(eager, lazy)
+        # a pickle round trip keeps reserved entries reserved
+        eager, lazy = pair()
+        eager = pickle.loads(pickle.dumps(eager, pickle.HIGHEST_PROTOCOL))
+        restored = pickle.loads(pickle.dumps(lazy, pickle.HIGHEST_PROTOCOL))
+        same(eager, restored)
+        assert [i._enabled is None for i in restored] == [
+            i._enabled is None for i in lazy]
+        use(eager, decls, later, False)
+        use(restored, decls, later, True)
+        same(eager, restored)
+
+    def test_a_reserved_entry_is_shared_until_first_use(self):
+        key = identity("counter", "os.releases", core="shared")
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.reserve([key])
+        b.reserve([key])
+        zero = _ZEROS[key]
+        assert list(a) == [zero] and list(b) == [zero]
+        zero.inc(5)  # a handle on a shared zero counts nothing
+        assert a.lookup("counter", "os.releases", core="shared") is zero
+        counter = a.counter("os.releases", core="shared")
+        assert counter is not zero and counter is a.materialise(key)
+        counter.inc(2)
+        assert (zero.value, counter.value) == (0.0, 2.0)
+        assert list(b) == [zero]

@@ -37,7 +37,7 @@ class GeneralPathCore(Core):
         if self.halted:
             return
         self.ready.append(job)
-        self._m_releases.inc()
+        (self._m_releases or self._materialise("_m_releases")).inc()
         sim = self.sim
         if sim.tracer.enabled:
             sim.trace(
@@ -120,11 +120,21 @@ class Listener:
             core.submit_task_activation(EXTRA, EXTRA.wcet)
 
 
+UNSET = "<unset slot>"
+
+
 def state_of(obj):
-    """Attribute dict of a policy, with its server / round-robin helper
-    expanded (job ids are sim-local, so rotations compare directly)."""
-    out = {}
-    for key, value in sorted(vars(obj).items()):
+    """Every attribute of a policy, from its slots and its ``__dict__``
+    alike, with its type and its server / round-robin helper expanded
+    (job ids are sim-local, so rotations compare directly)."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.update((slots,) if isinstance(slots, str) else slots)
+    names -= {"__dict__", "__weakref__"}
+    out = {"__class__": type(obj).__qualname__}
+    for key in sorted(names):
+        value = getattr(obj, key, UNSET)
         if isinstance(value, (BudgetServer, FairSharePolicy)):
             value = state_of(value)
         out[key] = value
