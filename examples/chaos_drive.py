@@ -70,7 +70,7 @@ def main() -> None:
     print()
     print(report.render())
     client = scenario["client"]
-    served = scenario["successes"][0]
+    served = scenario["caller"].successes
     print(f"\nThe service answered {served}/{client.calls_made} calls "
           f"({report.rpc_retries} retried) through crash, outage and loss.")
 

@@ -31,13 +31,10 @@ from .graph import ModuleGraph, collect_imports
 from .lint import (
     ALL_PASSES,
     AnalysisReport,
-    LintReport,
     analysis_salt,
-    baseline_from_report,
     load_baseline,
     new_findings,
     run_analysis,
-    run_lint,
     save_baseline,
 )
 from .pickle_safety import PICKLE_RULES
@@ -53,7 +50,6 @@ __all__ = [
     "Finding",
     "KernelSanitizer",
     "LayerContract",
-    "LintReport",
     "ModuleGraph",
     "PICKLE_RULES",
     "RACE_RULES",
@@ -61,12 +57,10 @@ __all__ = [
     "Rule",
     "SanitizerReport",
     "analysis_salt",
-    "baseline_from_report",
     "collect_imports",
     "detect",
     "load_baseline",
     "new_findings",
     "run_analysis",
-    "run_lint",
     "save_baseline",
 ]

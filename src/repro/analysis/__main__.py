@@ -43,9 +43,9 @@ from .cache import AnalysisCache
 from .fixer import apply_fixes, propose_fixes, render_diffs
 from .lint import (
     ALL_PASSES,
-    AnalysisReport,
+    BASELINE_SCHEMA_VERSION,
     PASS_DET,
-    SCHEMA_VERSION,
+    AnalysisReport,
     analysis_salt,
     load_baseline,
     new_findings,
@@ -88,11 +88,6 @@ def _print_rules(passes: List[str]) -> None:
         print(f"        fix: {rule.hint}")
 
 
-def _rule_is_det(fingerprint: str) -> bool:
-    parts = fingerprint.split("::")
-    return len(parts) >= 2 and parts[1].startswith("DET")
-
-
 def _split_baseline(report: AnalysisReport) -> Dict[str, Dict]:
     """Family-split baselines: DET fingerprints vs everything else."""
     det: Dict[str, int] = {}
@@ -102,11 +97,11 @@ def _split_baseline(report: AnalysisReport) -> Dict[str, Dict]:
         bucket[finding.fingerprint] = bucket.get(finding.fingerprint, 0) + 1
     return {
         DET_BASELINE: {
-            "schema": SCHEMA_VERSION,
+            "schema": BASELINE_SCHEMA_VERSION,
             "fingerprints": dict(sorted(det.items())),
         },
         ANALYSIS_BASELINE: {
-            "schema": SCHEMA_VERSION,
+            "schema": BASELINE_SCHEMA_VERSION,
             "fingerprints": dict(sorted(rest.items())),
         },
     }
@@ -164,10 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--write", action="store_true",
         help="with --fix: apply the proposed edits in place",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="(default behavior; kept for compatibility)",
     )
     parser.add_argument(
         "--baseline", default=None,

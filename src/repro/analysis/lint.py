@@ -1,11 +1,13 @@
-"""Lint driver: file walking, pragmas, baselines and JSON reports.
+"""Analysis driver: file walking, pragmas, baselines and JSON reports.
 
-This module turns the per-file detectors of
-:mod:`repro.analysis.detectors` into a repository-level check:
+This module turns the per-file passes (:mod:`repro.analysis.detectors`,
+:mod:`~repro.analysis.pickle_safety`, :mod:`~repro.analysis.arch`,
+:mod:`~repro.analysis.races`) into a repository-level check:
 
-* **Walking** — :func:`run_lint` scans every ``.py`` file under the
+* **Walking** — :func:`run_analysis` scans every ``.py`` file under the
   given paths in sorted order, so reports are byte-identical across
-  machines (the linter holds itself to the determinism bar it enforces).
+  machines (the analyzer holds itself to the determinism bar it
+  enforces).  ``passes=("det",)`` runs the determinism detectors alone.
 * **Pragmas** — a trailing ``# repro: allow[DET201]`` comment suppresses
   the named rule(s) on that line (comma-separate for several); a bare
   ``# repro: allow`` suppresses every rule on the line; a
@@ -17,8 +19,8 @@ This module turns the per-file detectors of
   edits) to occurrence counts.  :func:`new_findings` returns only the
   occurrences *beyond* the baselined count, so CI fails on regressions
   without forcing a big-bang cleanup of historical debt.
-* **Reports** — :meth:`LintReport.to_dict` is a stable JSON schema
-  (``schema: 1``) consumed by the golden-file tests and the CI job.
+* **Reports** — :meth:`AnalysisReport.to_dict` is a stable JSON schema
+  consumed by the golden-file tests and the CI job.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ from .graph import ImportEdge, ModuleGraph, ModuleInfo, collect_imports
 from .pickle_safety import PICKLE_RULES, check_pickle_safety
 from .races import RACE_RULES, check_races
 
-#: JSON report / baseline schema version (DET-only :func:`run_lint`).
-SCHEMA_VERSION = 1
+#: JSON schema of :class:`AnalysisReport`.
+SCHEMA_VERSION = 2
 
-#: JSON schema of the multi-pass :class:`AnalysisReport`.
-ANALYSIS_SCHEMA_VERSION = 2
+#: JSON schema of a baseline file.
+BASELINE_SCHEMA_VERSION = 1
 
 #: a directory containing this file is a fixture tree with *planted*
 #: violations: the walker skips it unless it is the scan root itself
@@ -157,67 +159,6 @@ class PragmaIndex:
         return index
 
 
-@dataclass
-class LintReport:
-    """Everything one lint run produced."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_scanned: int = 0
-    suppressed: int = 0
-    parse_errors: List[str] = field(default_factory=list)
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def to_dict(self) -> Dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "files_scanned": self.files_scanned,
-            "suppressed": self.suppressed,
-            "parse_errors": list(self.parse_errors),
-            "summary": {
-                "errors": len(self.errors),
-                "warnings": len(self.warnings),
-                "by_rule": self.by_rule(),
-            },
-            "rules": {
-                rule_id: {
-                    "title": rule.title,
-                    "severity": rule.severity,
-                    "hint": rule.hint,
-                }
-                for rule_id, rule in sorted(RULES.items())
-            },
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "severity": f.severity,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "hint": f.hint,
-                    "text": f.text,
-                }
-                for f in self.findings
-            ],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
 def _iter_python_files(paths: Iterable[str], root: str) -> List[str]:
     """Absolute paths of every ``.py`` file under ``paths``, sorted."""
     out: Set[str] = set()
@@ -249,59 +190,7 @@ def _relpath(path: str, root: str) -> str:
     return rel.replace(os.sep, "/")
 
 
-def scan_file(
-    absolute: str, rel: str
-) -> Tuple[List[Finding], int, Optional[str]]:
-    """Lint one file.
-
-    Returns ``(findings, suppressed_count, parse_error)``; a file that
-    fails to parse produces no findings and a non-None error string.
-    """
-    with open(absolute, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    allow_raw = any(rel.endswith(suffix) for suffix in RAW_RANDOM_ALLOWED)
-    try:
-        findings = detect(source, rel, allow_raw_random=allow_raw)
-    except SyntaxError as exc:
-        return [], 0, f"{rel}: {exc.msg} (line {exc.lineno})"
-    pragmas = PragmaIndex.scan(source.splitlines())
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        if pragmas.suppresses(finding, finding.end_line):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed, None
-
-
-def run_lint(paths: Iterable[str], root: str) -> LintReport:
-    """Lint every Python file under ``paths`` (relative to ``root``)."""
-    report = LintReport()
-    for absolute in _iter_python_files(paths, root):
-        rel = _relpath(absolute, root)
-        findings, suppressed, parse_error = scan_file(absolute, rel)
-        report.files_scanned += 1
-        report.suppressed += suppressed
-        if parse_error is not None:
-            report.parse_errors.append(parse_error)
-        report.findings.extend(findings)
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return report
-
-
 # -- baselines -----------------------------------------------------------
-
-
-def baseline_from_report(report: LintReport) -> Dict:
-    """Serializable baseline: fingerprint -> occurrence count."""
-    counts: Dict[str, int] = {}
-    for finding in report.findings:
-        counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-    return {
-        "schema": SCHEMA_VERSION,
-        "fingerprints": dict(sorted(counts.items())),
-    }
 
 
 def save_baseline(baseline: Dict, path: str) -> None:
@@ -320,21 +209,38 @@ def load_baseline(path: str) -> Dict[str, int]:
     return {str(k): int(v) for k, v in fingerprints.items()}
 
 
-# -- multi-pass whole-program analysis -----------------------------------
+# -- reports and the driver ----------------------------------------------
 
 
 @dataclass
-class AnalysisReport(LintReport):
-    """A :class:`LintReport` produced by the multi-pass analyzer.
+class AnalysisReport:
+    """Everything one analysis run produced.
 
-    Adds the active pass list, per-family summaries, and cache counters
-    (counters are *not* part of :meth:`to_dict` — reports must be
-    byte-identical with the cache hot, cold, or disabled).
+    The cache counters are *not* part of :meth:`to_dict`: reports must
+    be byte-identical with the cache hot, cold, or disabled.
     """
 
+    findings: List[Finding] = field(default_factory=list)
+    files_scanned: int = 0
+    suppressed: int = 0
+    parse_errors: List[str] = field(default_factory=list)
     passes: Tuple[str, ...] = ALL_PASSES
     cache_hits: int = 0
     cache_misses: int = 0
+
+    @property
+    def errors(self) -> List[Finding]:
+        return [f for f in self.findings if f.severity == "error"]
+
+    @property
+    def warnings(self) -> List[Finding]:
+        return [f for f in self.findings if f.severity == "warning"]
+
+    def by_rule(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for finding in self.findings:
+            counts[finding.rule] = counts.get(finding.rule, 0) + 1
+        return dict(sorted(counts.items()))
 
     def by_family(self) -> Dict[str, Dict[str, int]]:
         """family -> {"errors": n, "warnings": n} over all findings."""
@@ -353,19 +259,43 @@ class AnalysisReport(LintReport):
         return dict(sorted(out.items()))
 
     def to_dict(self) -> Dict:
-        payload = super().to_dict()
-        payload["schema"] = ANALYSIS_SCHEMA_VERSION
-        payload["passes"] = list(self.passes)
-        payload["summary"]["by_family"] = self.by_family()
-        payload["rules"] = {
-            rule_id: {
-                "title": rule.title,
-                "severity": rule.severity,
-                "hint": rule.hint,
-            }
-            for rule_id, rule in rules_for_passes(self.passes).items()
+        return {
+            "schema": SCHEMA_VERSION,
+            "passes": list(self.passes),
+            "files_scanned": self.files_scanned,
+            "suppressed": self.suppressed,
+            "parse_errors": list(self.parse_errors),
+            "summary": {
+                "errors": len(self.errors),
+                "warnings": len(self.warnings),
+                "by_rule": self.by_rule(),
+                "by_family": self.by_family(),
+            },
+            "rules": {
+                rule_id: {
+                    "title": rule.title,
+                    "severity": rule.severity,
+                    "hint": rule.hint,
+                }
+                for rule_id, rule in rules_for_passes(self.passes).items()
+            },
+            "findings": [
+                {
+                    "rule": f.rule,
+                    "severity": f.severity,
+                    "path": f.path,
+                    "line": f.line,
+                    "col": f.col,
+                    "message": f.message,
+                    "hint": f.hint,
+                    "text": f.text,
+                }
+                for f in self.findings
+            ],
         }
-        return payload
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _analyze_source(
@@ -549,7 +479,7 @@ def run_analysis(
 
 
 def new_findings(
-    report: LintReport, baseline: Dict[str, int]
+    report: AnalysisReport, baseline: Dict[str, int]
 ) -> List[Finding]:
     """Findings not covered by the baseline.
 

@@ -162,9 +162,7 @@ class ChaosCaller:
         self.sim = sim
         self.client = client
         self.spec = spec
-        #: single-element list for drop-in compatibility with the old
-        #: scenario["successes"] closure cell
-        self.successes: List[int] = [0]
+        self.successes = 0
 
     def start(self) -> None:
         self.sim.post(0.0, self._issue)
@@ -183,7 +181,7 @@ class ChaosCaller:
         if isinstance(response, BaseException):
             raise response  # the generator version crashed here too
         if response is not None:
-            self.successes[0] += 1
+            self.successes += 1
         self.sim.post(self.spec.rpc_period, self._issue)
 
 
@@ -274,7 +272,6 @@ def start_chaos_workload(
     injector = FaultInjector(sim, spec.plan, rng, platform=base["platform"])
     injector.arm()
     base["caller"] = caller
-    base["successes"] = caller.successes
     base["injector"] = injector
     return base
 
@@ -306,7 +303,7 @@ def campaign_outcome(
         failovers=len(failovers),
         interruptions=tuple(f.interruption for f in failovers),
         rpc_calls=client.calls_made,
-        rpc_successes=scenario["successes"][0],
+        rpc_successes=scenario["caller"].successes,
         rpc_timeouts=client.timeouts,
         rpc_retries=client.retries,
         rpc_failures=client.failures,

@@ -52,7 +52,7 @@ class _SegmentBatch:
     event.  Nothing the batch holds points back at it, so a finished
     batch, or one whose segments a fault hook dropped, is freed by
     reference counting alone.  Being a plain object (no closures), a
-    snapshot taken mid-transfer deep-copies it, countdown included,
+    snapshot taken mid-transfer copies it, countdown included,
     instead of aliasing the original's mutable state.
     """
 
@@ -127,9 +127,6 @@ def build_bus(sim: Simulator, spec: BusSpec, gcl: Optional[GateControlList] = No
 class VehicleNetwork:
     """All bus segments of a topology plus gateway forwarding."""
 
-    #: Factory hook: benchmark shims substitute legacy bus simulators here.
-    _bus_factory = staticmethod(build_bus)
-
     def __init__(
         self,
         sim: Simulator,
@@ -139,7 +136,7 @@ class VehicleNetwork:
         self.sim = sim
         self.topology = topology
         self.buses: Dict[str, BusModel] = {
-            spec.name: self._bus_factory(sim, spec, gcl) for spec in topology.buses
+            spec.name: build_bus(sim, spec, gcl) for spec in topology.buses
         }
         #: Bus-node names, frozen once — route filtering must not rebuild
         #: this set per call.
@@ -350,13 +347,14 @@ class VehicleNetwork:
         """Send a frame end to end, hopping gateways as needed.
 
         Returns a signal that fires with the final-segment frame once the
-        message reaches ``dst``.  Payloads exceeding a CAN segment's frame
-        limit raise :class:`NetworkError` — segmentation belongs to the
-        transport layer in :mod:`repro.middleware`.
+        message reaches ``dst``: a one-segment :meth:`send_segments`.
+        Payloads exceeding a CAN segment's frame limit raise
+        :class:`NetworkError` — segmentation belongs to the transport
+        layer in :mod:`repro.middleware`.
         """
-        __, hops = self._resolve(src, dst)
         done = self.sim.signal(name=f"net.{src}->{dst}")
-        self._send_hop(hops, 0, payload_bytes, priority, traffic_class, payload, label, done)
+        self._send_segments(src, dst, (payload_bytes,), priority,
+                            traffic_class, (payload,), label, done)
         return done
 
     def send_segments(
@@ -397,7 +395,7 @@ class VehicleNetwork:
         label: str,
         done: Optional[Signal],
     ) -> None:
-        """The batched submit behind :meth:`send_segments`.
+        """The batched submit behind :meth:`send` and :meth:`send_segments`.
 
         ``done`` is the completion sink (like ``BusModel.submit``'s), fired
         with the final segment's frame; ``None`` means nobody waits, and
@@ -432,57 +430,6 @@ class VehicleNetwork:
         )
         for size, payload in zip(sizes, payloads):
             batch.submit_hop(0, size, payload)
-
-    def _send_hop(
-        self,
-        hops: Tuple[Hop, ...],
-        index: int,
-        payload_bytes: int,
-        priority: int,
-        traffic_class: TrafficClass,
-        payload: object,
-        label: str,
-        done: Signal,
-    ) -> None:
-        from_ecu, bus_name, to_ecu = hops[index]
-        bus = self.buses[bus_name]
-        frame = self._new_frame(
-            from_ecu, to_ecu, payload_bytes,
-            self._segment_priority(bus, priority, traffic_class),
-            traffic_class, payload, label, index,
-        )
-        leg_done = bus.submit(frame)
-
-        if index == len(hops) - 1:
-            leg_done.add_callback(done.fire)
-            return
-
-        leg_done.add_callback(
-            partial(
-                self._forward_single, hops, index + 1,
-                payload_bytes, priority, traffic_class, payload, label, done,
-            )
-        )
-
-    def _forward_single(
-        self,
-        hops: Tuple[Hop, ...],
-        next_index: int,
-        payload_bytes: int,
-        priority: int,
-        traffic_class: TrafficClass,
-        payload: object,
-        label: str,
-        done: Signal,
-        frame: Frame,
-    ) -> None:
-        """Gateway store-and-forward step for an unbatched send."""
-        self.gateway_forwards += 1
-        self.sim.post(
-            GATEWAY_LATENCY, self._send_hop, hops, next_index,
-            payload_bytes, priority, traffic_class, payload, label, done,
-        )
-        self._recycle_frame(frame)
 
     @staticmethod
     def _segment_priority(bus: BusModel, priority: int, traffic_class: TrafficClass) -> int:

@@ -9,7 +9,7 @@ from .events import PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT, EventQueue,
 from .kernel import Interrupted, Process, Signal, Simulator, Timeout
 from .resources import Resource, Store, ThroughputServer
 from .rng import RngStreams
-from .snapshot import SimSnapshot, SnapshotError, fork_world
+from .snapshot import SimSnapshot, SnapshotError
 from .trace import TraceEntry, Tracer, read_jsonl
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "Timeout",
     "TraceEntry",
     "Tracer",
-    "fork_world",
     "read_jsonl",
 ]

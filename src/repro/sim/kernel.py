@@ -16,7 +16,7 @@ The kernel also owns the **world registry** used by copy-on-write
 snapshots (:mod:`repro.sim.snapshot`): components register themselves via
 :meth:`Simulator.adopt` so a forked world can look them up, and declare
 immutable structure via :meth:`Simulator.share` so forks alias it instead
-of deep-copying it.
+of copying it.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class Process:
     the next :meth:`Simulator.run` unless :attr:`defused` (by some party
     waiting on :attr:`done` at the instant of the crash).
 
-    Snapshot note: a *live* generator cannot be deep-copied or pickled, so
+    Snapshot note: a *live* generator cannot be pickled, so
     worlds with alive processes refuse to fork (see
     :func:`repro.sim.snapshot.check_forkable`).  Finished processes drop
     their exhausted generator on capture and snapshot cleanly.
@@ -170,7 +170,7 @@ class Process:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         if not self.alive:
-            # exhausted generators refuse deepcopy/pickle just like live
+            # exhausted generators refuse to pickle just like live
             # ones; a finished process no longer needs its frame anyway
             state["gen"] = None
         return state
@@ -396,7 +396,7 @@ class Simulator:
         """Capture a reusable frozen copy of the whole world.
 
         See :class:`repro.sim.snapshot.SimSnapshot`; restore with
-        ``snap.restore()`` (or :meth:`restore`) as many times as needed.
+        ``snap.restore()`` as many times as needed.
         """
         from .snapshot import SimSnapshot
 
@@ -410,13 +410,7 @@ class Simulator:
         copied.  Continuing the fork and continuing the original produce
         byte-identical traces that then evolve independently.
         """
-        from .snapshot import fork_world
-
-        return fork_world(self)
-
-    def restore(self, snap: "SimSnapshot") -> "Simulator":
-        """Materialize a fresh world from ``snap`` (alias of ``snap.restore()``)."""
-        return snap.restore()
+        return self.snapshot().restore()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

@@ -31,21 +31,17 @@ Mechanically, a same-process fork is a :mod:`pickle` round trip with a
 ``persistent_id`` hook: shared objects and aliased values serialize as
 persistent ids and deserialize back to the *original* instances, so the
 copy runs at C speed and the aliased structure is never traversed at
-all.  The semantics are identical to ``copy.deepcopy`` with a memo
-pre-seeded ``memo[id(obj)] = obj`` per shared object and aliased value
-— :func:`fork_world` falls back to exactly that when an object defies
-pickling (e.g. user code attached something with ``__reduce__`` quirks
-mid-experiment).
+all.
 
 Restore semantics
 -----------------
 
 Python offers no way to rewind live objects in place, so ``restore()``
 does not mutate an existing world: it materializes a **new** simulator
-from the snapshot's pristine frozen copy.  That makes a snapshot
-reusable — restore it as many times as you like, each restore is an
-independent world — and makes ``restore()`` and ``fork()`` the same
-operation at different times.
+from the snapshot's frozen blob.  That makes a snapshot reusable —
+restore it as many times as you like, each restore is an independent
+world — and makes :meth:`Simulator.fork` nothing more than
+``snapshot().restore()``.
 
 Pool hygiene: the event queue's free list is dropped on capture
 (``EventQueue.__getstate__``), so a restored world starts with an empty
@@ -55,25 +51,26 @@ recycling.
 Worlds that cannot fork
 -----------------------
 
-Live generator processes hold suspended Python frames, which neither
-:func:`copy.deepcopy` nor :mod:`pickle` can capture.  Components that
-participate in snapshots are therefore written in callback style (bound
-methods rescheduling themselves); :func:`check_forkable` rejects worlds
-with alive generator processes up front with a clear error naming them.
-Similarly, snapshot-reachable callbacks must be bound methods or
-:func:`functools.partial` objects — plain closures are deep-copy-atomic,
-so a closure would smuggle shared mutable cells across worlds.
+Live generator processes hold suspended Python frames, which
+:mod:`pickle` cannot capture.  Components that participate in snapshots
+are therefore written in callback style (bound methods rescheduling
+themselves); :func:`check_forkable` rejects worlds with alive generator
+processes up front with a clear error naming them.  Similarly,
+snapshot-reachable callbacks must be bound methods, module-level
+functions or :func:`functools.partial` objects over them: a world that
+does not pickle — a pending closure or lambda, a local class, an OS
+handle — raises :class:`SnapshotError` with pickle's message naming the
+object.  There is no fallback copy: one that treated a closure as an
+atom would share its mutable cells between the source world and every
+restore.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import io
 import pickle
-import types
-import weakref
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -81,7 +78,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
 
-__all__ = ["SnapshotError", "check_forkable", "fork_world", "SimSnapshot"]
+__all__ = ["SnapshotError", "check_forkable", "SimSnapshot"]
 
 
 class SnapshotError(SimulationError):
@@ -115,10 +112,6 @@ def check_forkable(sim: "Simulator") -> None:
 
 #: exact types whose instances are immutable atoms
 _ATOMS = frozenset({type(None), bool, int, float, complex, str, bytes})
-#: types the value walk never enters: deepcopy treats them as atomic,
-#: and a function's globals would reach the whole interpreter
-_OPAQUE = (type, types.FunctionType, types.BuiltinFunctionType,
-           types.ModuleType, types.CodeType, weakref.ref)
 
 #: verdict sentinels of the automatic value rule
 _NEVER = object()
@@ -180,42 +173,6 @@ def _aliasable(obj: object) -> bool:
     return kind is _ALWAYS or (kind is not _NEVER and _immutable(obj))
 
 
-def _alias_values(sim: "Simulator") -> List[object]:
-    """Explicitly shared objects, then every aliasable value reachable
-    from ``sim`` — the deepcopy fallback's view of what the pickle path
-    aliases.
-
-    The walk follows :func:`gc.get_referents`, a superset of what
-    deepcopy reaches; an extra memo entry for a value deepcopy never
-    meets is inert.
-    """
-    # imported here, on the fallback path only: importing gc up front
-    # raised every process's peak RSS by ~0.3 MiB
-    import gc
-
-    values: List[object] = list(sim._shared)
-    #: visited objects by id, held so no id is reused during the walk
-    seen = {id(obj): obj for obj in values}
-    stack: List[object] = [sim]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or type(obj) in _ATOMS:
-            continue
-        seen[id(obj)] = obj
-        if isinstance(obj, _OPAQUE):
-            continue
-        if _aliasable(obj):
-            values.append(obj)
-        else:
-            stack.extend(gc.get_referents(obj))
-    return values
-
-
-def _memo(values: List[object]) -> Dict[int, object]:
-    """A deepcopy memo that aliases ``values`` instead of copying them."""
-    return {id(obj): obj for obj in values}
-
-
 class _ForkPickler(pickle.Pickler):
     """Pickler that emits shared objects and aliasable values as
     persistent ids, appending newly met values to ``shared``."""
@@ -257,22 +214,6 @@ def _load_world(blob: bytes, shared: List[object]) -> "Simulator":
     return unpickler.load()
 
 
-def fork_world(sim: "Simulator") -> "Simulator":
-    """Return an independent copy of ``sim`` (shared structure aliased).
-
-    The fast path is a pickle round trip (C speed) whose persistent-id
-    hook aliases every object in ``sim._shared`` instead of copying it.
-    Worlds containing something picklable-by-deepcopy-only fall back to
-    :func:`copy.deepcopy` with a memo pre-seeded with the same shared
-    objects and aliased values — same semantics, slower.
-    """
-    check_forkable(sim)
-    try:
-        return _load_world(*_dump_world(sim))
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return copy.deepcopy(sim, _memo(_alias_values(sim)))
-
-
 class SimSnapshot:
     """A frozen, reusable copy of a simulation world.
 
@@ -283,45 +224,33 @@ class SimSnapshot:
     of independent variants at a fraction of a rebuild.  :meth:`to_bytes`
     / :meth:`from_bytes` give a self-contained frozen form for shipping
     a warmed-up world once per executor worker as shared context.
-
-    Worlds whose objects pickle poorly are captured via the deepcopy
-    fallback instead: the snapshot then owns a pristine world copy and
-    every restore deep-copies it — identical semantics, slower.
     """
 
-    __slots__ = ("_blob", "_shared", "_pristine", "_now")
+    __slots__ = ("_blob", "_shared", "_now")
 
-    def __init__(
-        self,
-        blob: Optional[bytes],
-        shared: Optional[List[object]],
-        pristine: Optional["Simulator"],
-        now: float,
-    ) -> None:
+    def __init__(self, blob: bytes, shared: List[object], now: float) -> None:
         self._blob = blob
         self._shared = shared
-        self._pristine = pristine
         self._now = now
 
     @classmethod
     def capture(cls, sim: "Simulator") -> "SimSnapshot":
-        """Snapshot ``sim`` (which keeps running, unaffected)."""
+        """Snapshot ``sim`` (which keeps running, unaffected).
+
+        Raises :class:`SnapshotError` if the world cannot be pickled.
+        """
         check_forkable(sim)
         try:
             blob, shared = _dump_world(sim)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            values = _alias_values(sim)
-            pristine = copy.deepcopy(sim, _memo(values))
-            return cls(None, values, pristine, sim.now)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SnapshotError(f"cannot snapshot/fork this world: {exc}") from exc
         # restores of this snapshot point at the source world's shared
         # instances and aliased values (the CoW boundary)
-        return cls(blob, shared, None, sim.now)
+        return cls(blob, shared, sim.now)
 
     def restore(self) -> "Simulator":
         """Materialize a new independent world at the captured instant."""
-        if self._blob is not None:
-            return _load_world(self._blob, self._shared)
-        return copy.deepcopy(self._pristine, _memo(self._shared))
+        return _load_world(self._blob, self._shared)
 
     @property
     def now(self) -> float:
@@ -335,19 +264,14 @@ class SimSnapshot:
         cannot be aliased across process boundaries); restores from the
         shipped copy alias the receiving process's copy of them.
         """
-        if self._blob is not None:
-            payload = ("blob", self._blob, self._shared, self._now)
-        else:
-            payload = ("world", self._pristine, self._shared, self._now)
+        payload = ("blob", self._blob, self._shared, self._now)
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SimSnapshot":
         """Rebuild a snapshot serialized with :meth:`to_bytes`."""
-        kind, primary, shared, now = pickle.loads(data)
-        if kind == "blob":
-            return cls(primary, shared, None, now)
-        return cls(None, shared, primary, now)
+        __, blob, shared, now = pickle.loads(data)
+        return cls(blob, shared, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SimSnapshot t={self._now:.6f}>"

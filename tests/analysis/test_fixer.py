@@ -4,7 +4,7 @@ import os
 import textwrap
 
 from repro.analysis.fixer import apply_fixes, propose_fixes, render_diffs
-from repro.analysis.lint import run_lint
+from repro.analysis.lint import run_analysis
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
@@ -18,13 +18,18 @@ def write(root, rel, source):
     return path
 
 
+def run_det(root):
+    """The determinism pass alone over ``root/src``."""
+    return run_analysis(["src"], str(root), passes=("det",))
+
+
 def fix_round_trip(tmp_path, source):
     """Lint, fix, re-lint; returns (fixed_source, findings_after)."""
     path = write(tmp_path, "src/mod.py", source)
-    report = run_lint(["src"], str(tmp_path))
+    report = run_det(tmp_path)
     fixes = propose_fixes(report.findings, str(tmp_path))
     apply_fixes(fixes)
-    after = run_lint(["src"], str(tmp_path))
+    after = run_det(tmp_path)
     return path.read_text(encoding="utf-8"), after.findings
 
 
@@ -120,7 +125,7 @@ class TestProposalMechanics:
                 return list(seen)
         """)
         before = path.read_text(encoding="utf-8")
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(tmp_path)
         fixes = propose_fixes(report.findings, str(tmp_path))
         assert len(fixes) == 1
         assert path.read_text(encoding="utf-8") == before
@@ -131,7 +136,7 @@ class TestProposalMechanics:
                 seen = set(items)
                 return list(seen)
         """)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(tmp_path)
         diff = render_diffs(propose_fixes(report.findings, str(tmp_path)))
         assert diff.startswith("--- a/src/mod.py")
         assert "+++ b/src/mod.py" in diff
@@ -140,7 +145,7 @@ class TestProposalMechanics:
 
     def test_clean_source_proposes_nothing(self, tmp_path):
         write(tmp_path, "src/mod.py", "def f():\n    return 1\n")
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(tmp_path)
         assert propose_fixes(report.findings, str(tmp_path)) == []
 
     def test_fixed_file_still_parses(self, tmp_path):
@@ -162,7 +167,7 @@ class TestProposalMechanics:
 
 def test_clean_repo_tree_proposes_zero_edits():
     """CI gate: on the shipped tree, --fix --dry-run must be a no-op."""
-    from repro.analysis.lint import load_baseline, new_findings, run_analysis
+    from repro.analysis.lint import load_baseline, new_findings
 
     report = run_analysis(["src", "tests", "benchmarks"], REPO_ROOT)
     baseline = dict(load_baseline(

@@ -6,14 +6,13 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    baseline_from_report,
     load_baseline,
     new_findings,
-    run_lint,
+    run_analysis,
     save_baseline,
 )
 from repro.analysis.__main__ import main
-from repro.analysis.lint import PragmaIndex, scan_file
+from repro.analysis.lint import PragmaIndex
 
 HAZARD = textwrap.dedent(
     """
@@ -32,13 +31,29 @@ def write(tmp_path, rel, source):
     return path
 
 
+def run_det(paths, root):
+    """The determinism pass alone."""
+    return run_analysis(paths, str(root), passes=("det",))
+
+
+def baseline_of(report):
+    """A schema-1 baseline crediting every finding of ``report``."""
+    counts = {}
+    for finding in report.findings:
+        counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
+    return {"schema": 1, "fingerprints": counts}
+
+
 class TestPragmas:
     def lint_one(self, tmp_path, source):
-        path = write(tmp_path, "mod.py", source)
-        return scan_file(str(path), "mod.py")
+        """Scan a one-file tree: (findings, suppressed, parse errors)."""
+        write(tmp_path, "mod.py", source)
+        report = run_det(["mod.py"], tmp_path)
+        assert report.files_scanned == 1
+        return report.findings, report.suppressed, report.parse_errors
 
     def test_named_pragma_suppresses(self, tmp_path):
-        findings, suppressed, err = self.lint_one(
+        findings, suppressed, errors = self.lint_one(
             tmp_path,
             """
             import random
@@ -47,7 +62,7 @@ class TestPragmas:
                 return random.random()  # repro: allow[DET101]
             """,
         )
-        assert err is None
+        assert errors == []
         assert findings == []
         assert suppressed == 1
 
@@ -135,8 +150,8 @@ class TestPragmas:
 class TestBaseline:
     def test_roundtrip(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
-        report = run_lint(["src"], str(tmp_path))
-        baseline = baseline_from_report(report)
+        report = run_det(["src"], tmp_path)
+        baseline = baseline_of(report)
         target = tmp_path / "baseline.json"
         save_baseline(baseline, str(target))
         assert load_baseline(str(target)) == {
@@ -148,7 +163,7 @@ class TestBaseline:
 
     def test_baselined_finding_not_new(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         baseline = {f.fingerprint: 1 for f in report.findings}
         assert new_findings(report, baseline) == []
 
@@ -166,7 +181,7 @@ class TestBaseline:
                 return random.random()
             """,
         )
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         assert len(report.findings) == 2
         # both findings share one fingerprint (same path, rule and text):
         # a baseline crediting one occurrence leaves the second as new
@@ -177,10 +192,10 @@ class TestBaseline:
 
     def test_line_shift_does_not_break_baseline(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
-        baseline = baseline_from_report(run_lint(["src"], str(tmp_path)))
+        baseline = baseline_of(run_det(["src"], tmp_path))
         shifted = "# a new comment\n# another\n" + textwrap.dedent(HAZARD)
         write(tmp_path, "src/mod.py", shifted)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         assert new_findings(report, baseline["fingerprints"]) == []
 
 
@@ -189,28 +204,28 @@ class TestRunLint:
         write(tmp_path, "src/b.py", HAZARD)
         write(tmp_path, "src/a.py", HAZARD)
         write(tmp_path, "src/__pycache__/c.py", HAZARD)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         assert report.files_scanned == 2
         assert [f.path for f in report.findings] == ["src/a.py", "src/b.py"]
 
     def test_parse_error_reported_not_fatal(self, tmp_path):
         write(tmp_path, "src/bad.py", "def broken(:\n")
         write(tmp_path, "src/good.py", HAZARD)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         assert len(report.parse_errors) == 1
         assert "src/bad.py" in report.parse_errors[0]
         assert len(report.findings) == 1
 
     def test_rng_module_exempt_from_det101(self, tmp_path):
         write(tmp_path, "src/repro/sim/rng.py", HAZARD)
-        report = run_lint(["src"], str(tmp_path))
+        report = run_det(["src"], tmp_path)
         assert report.findings == []
 
 
 class TestCli:
     def test_check_fails_on_seeded_rng_bypass(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", HAZARD)
-        code = main(["--root", str(tmp_path), "--check"])
+        code = main(["--root", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
         assert "DET101" in captured.out
@@ -218,7 +233,7 @@ class TestCli:
 
     def test_check_passes_on_clean_tree(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", "def f():\n    return 1\n")
-        code = main(["--root", str(tmp_path), "--check"])
+        code = main(["--root", str(tmp_path)])
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
@@ -226,27 +241,26 @@ class TestCli:
         write(tmp_path, "src/mod.py", HAZARD)
         assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
         assert (tmp_path / "determinism-baseline.json").exists()
-        assert main(["--root", str(tmp_path), "--check"]) == 0
+        assert main(["--root", str(tmp_path)]) == 0
         # a new hazard on top of the baselined one still fails
         write(tmp_path, "src/other.py", HAZARD)
-        assert main(["--root", str(tmp_path), "--check"]) == 1
+        assert main(["--root", str(tmp_path)]) == 1
 
     def test_no_baseline_flag_counts_everything(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
         assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
-        assert main(["--root", str(tmp_path), "--check", "--no-baseline"]) == 1
+        assert main(["--root", str(tmp_path), "--no-baseline"]) == 1
 
     def test_parse_error_fails_check(self, tmp_path):
         write(tmp_path, "src/bad.py", "def broken(:\n")
-        assert main(["--root", str(tmp_path), "--check"]) == 1
+        assert main(["--root", str(tmp_path)]) == 1
 
     def test_json_report_written(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
         out = tmp_path / "report.json"
         main(["--root", str(tmp_path), "--json", str(out)])
         payload = json.loads(out.read_text(encoding="utf-8"))
-        # the CLI runs the multi-pass analyzer (schema 2); the plain
-        # run_lint() report keeps schema 1 (see test_report_schema.py)
+        # the CLI runs every pass by default
         assert payload["schema"] == 2
         assert payload["passes"] == ["det", "pickle-safety", "arch", "races"]
         assert payload["summary"]["errors"] == 1
@@ -270,5 +284,5 @@ def test_repo_tree_is_hazard_free(rel):
     import os
 
     root = os.path.join(os.path.dirname(__file__), "..", "..")
-    report = run_lint([rel], os.path.abspath(root))
+    report = run_det([rel], os.path.abspath(root))
     assert report.errors == [], [f.render() for f in report.errors]

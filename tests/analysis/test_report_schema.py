@@ -11,7 +11,7 @@ import json
 import os
 import textwrap
 
-from repro.analysis import run_lint
+from repro.analysis import run_analysis
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_report.json")
 
@@ -44,7 +44,7 @@ def build_report(root):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(textwrap.dedent(source))
-    return run_lint(["src"], root)
+    return run_analysis(["src"], root, passes=("det",))
 
 
 def test_report_matches_golden(tmp_path):

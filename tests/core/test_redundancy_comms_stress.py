@@ -71,13 +71,13 @@ class TestFailoverUnderCommsStress:
 
     def test_service_keeps_answering_after_reroute(self):
         sim, spec, scenario = stressed_world()
-        successes = scenario["successes"]
+        caller = scenario["caller"]
         at_fault = {}
-        sim.schedule(FAULT_TIME, lambda: at_fault.setdefault("n", successes[0]))
+        sim.schedule(FAULT_TIME, lambda: at_fault.setdefault("n", caller.successes))
         sim.run(until=sim.now + spec.soak_time)
         client = scenario["client"]
         # calls before the fault succeeded on the backbone, calls after it
         # on the ring — and the retry policy hid the transition
         assert at_fault["n"] > 5
-        assert successes[0] > at_fault["n"] + 10
+        assert caller.successes > at_fault["n"] + 10
         assert client.failures == 0

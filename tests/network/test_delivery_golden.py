@@ -11,7 +11,7 @@ produces, recorded once and compared byte for byte on every run:
 * the fault injector's timeline.
 
 Two runs share the world of ``test_no_cycles`` (periodic SOA flows over
-CAN and FlexRay legs behind gateways to a TSN backbone) plus unbatched
+CAN and FlexRay legs behind gateways to a TSN backbone) plus one-segment
 end-to-end sends and bus-level broadcasts:
 
 * ``faulted`` arms drop, corrupt and delay windows on every bus;
@@ -95,8 +95,11 @@ def golden_world():
 
 
 class Extras:
-    """Unbatched gateway crossings (the Signal-sink path) and a broadcast
-    on each of CAN and TSN (listener fan-out and the broadcast latch)."""
+    """One-segment gateway crossings (``VehicleNetwork.send``, whose
+    batch fires the returned signal) and a broadcast on each of CAN and
+    TSN (listener fan-out and the broadcast latch).  The broadcasts'
+    ``bus.submit`` without a sink is the only unbatched Signal-sink path
+    left."""
 
     def __init__(self, sim, net):
         self.sim = sim

@@ -5,8 +5,7 @@ aliases two kinds of value: enum members, and frozen-dataclass
 instances whose fields are recursively immutable and which carry no
 extra instance attribute.  These tests pin the rule, its safety
 condition (no fork can observe or cause a change to an aliased value),
-and that the deepcopy fallback aliases exactly what the pickle path
-does.
+and that a shipped snapshot restores an equal world.
 """
 
 import dataclasses
@@ -23,8 +22,7 @@ from repro.fleet.shard import TAG_NEW, build_fleet_snapshots, simulate_vehicle
 from repro.fleet.summary import FleetDigest, TopK
 from repro.osal.task import Criticality, TaskSpec
 from repro.sim import RngStreams, Simulator, Tracer
-from repro.sim import snapshot as snapshot_mod
-from repro.sim.snapshot import SimSnapshot, fork_world
+from repro.sim.snapshot import SimSnapshot
 
 from .test_snapshot import Ticker, chaos_matrix_spec, trace_json
 
@@ -94,17 +92,11 @@ def vehicle_digest(spec, snapshots, indices) -> str:
     return json.dumps(digest.to_json(), sort_keys=True)
 
 
-def force_fallback(monkeypatch):
-    def refuse(sim):
-        raise pickle.PicklingError("forced onto the deepcopy fallback")
-
-    monkeypatch.setattr(snapshot_mod, "_dump_world", refuse)
-
-
 class TestValueRule:
     @pytest.mark.parametrize("make", [
         lambda sim: sim.fork(),
-        lambda sim: fork_world(sim),
+        # a fork of a restored world still aliases the source's values
+        lambda sim: sim.snapshot().restore().fork(),
         lambda sim: sim.snapshot().restore(),
     ])
     def test_immutable_values_restore_identical(self, make):
@@ -194,42 +186,3 @@ class TestForksLeaveValuesUntouched:
         remote.run()
         assert trace_json(remote) == trace_json(local)
         assert remote.world["values"] == local.world["values"]
-
-
-class TestDeepcopyFallback:
-    def test_fallback_aliases_the_same_values(self, monkeypatch):
-        sim, values = build_world()
-        pickled = sim.snapshot()
-        force_fallback(monkeypatch)
-        fallback = sim.snapshot()
-        assert fallback._blob is None
-        assert ({id(v) for v in fallback._shared}
-                == {id(v) for v in pickled._shared})
-        for restored in (fallback.restore(), fork_world(sim)):
-            world = restored.world["values"]
-            for name in ALIASED:
-                assert world[name] is values[name], name
-            for name in COPIED:
-                assert world[name] is not values[name], name
-
-    def test_fallback_gives_the_pickle_digest(self, monkeypatch):
-        spec = fleet_spec()
-        pickled = build_fleet_snapshots(spec, tags=(TAG_NEW,))
-        force_fallback(monkeypatch)
-        fallback = build_fleet_snapshots(spec, tags=(TAG_NEW,))
-        for key, snap in fallback.items():
-            assert snap._blob is None
-            assert (sorted(type(v).__name__ for v in snap._shared)
-                    == sorted(type(v).__name__ for v in pickled[key]._shared))
-        assert (vehicle_digest(spec, fallback, range(6))
-                == vehicle_digest(spec, pickled, range(6)))
-
-    def test_fallback_snapshot_ships(self, monkeypatch):
-        sim, _ = build_world()
-        force_fallback(monkeypatch)
-        snap = sim.snapshot()
-        shipped = SimSnapshot.from_bytes(snap.to_bytes())
-        local, remote = snap.restore(), shipped.restore()
-        local.run()
-        remote.run()
-        assert trace_json(remote) == trace_json(local)
