@@ -30,12 +30,16 @@ The dataflow is deliberately intra-procedural and first-order: a tainted
 value must flow through local names into a boundary call within one
 module.  That keeps the pass fast and nearly false-positive-free — the
 same trade the DET201 set-dataflow made in PR 5.
+
+One step reaches past a function body: calling a module-level function
+that returns a function defined in its own body (a closure factory)
+yields a local function.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .detectors import Finding, Rule, SEVERITY_ERROR, SEVERITY_WARNING
 
@@ -128,9 +132,13 @@ class _PickleVisitor(ast.NodeVisitor):
     """One-module dataflow from unpicklable producers to boundaries."""
 
     def __init__(self, path: str, source_lines: List[str],
-                 snapshot_used: bool = True) -> None:
+                 snapshot_used: bool = True,
+                 factories: FrozenSet[str] = frozenset()) -> None:
         self.path = path
         self.lines = source_lines
+        #: module-level functions returning a closure (see
+        #: :func:`_closure_factories`)
+        self.factories = factories
         #: module exercises the snapshot boundary — PICK511 only applies
         #: to callbacks that can actually be reached by a snapshot/fork
         self.snapshot_used = snapshot_used
@@ -245,6 +253,8 @@ class _PickleVisitor(ast.NodeVisitor):
                     f"{node.func.id}\0generator"
                 ):
                     return _GENERATOR
+                if taint is None and node.func.id in self.factories:
+                    return _LOCAL_FUNC
             return None
         if isinstance(node, ast.Attribute):
             # a bound method / attribute of a tainted object is tainted
@@ -465,6 +475,35 @@ class _PickleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _own_statements(func: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``func``'s body outside any nested scope."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _closure_factories(tree: ast.AST) -> FrozenSet[str]:
+    """Names of the module-level functions that return a lambda or a
+    function defined in their own body: each call makes a closure."""
+    factories = set()
+    for func in getattr(tree, "body", ()):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_statements(func))
+        local = {node.name for node in nodes
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in nodes:
+            value = node.value if isinstance(node, ast.Return) else None
+            if isinstance(value, ast.Lambda) or (
+                    isinstance(value, ast.Name) and value.id in local):
+                factories.add(func.name)
+    return frozenset(factories)
+
+
 def _uses_snapshot_boundary(tree: ast.AST) -> bool:
     """True when the module snapshots/forks a world (or imports the
     snapshot machinery), i.e. its scheduled callbacks are actually
@@ -491,7 +530,8 @@ def check_pickle_safety(
 ) -> List[Finding]:
     """Run the fork/pickle-safety pass over one parsed module."""
     visitor = _PickleVisitor(
-        path, source_lines, snapshot_used=_uses_snapshot_boundary(tree)
+        path, source_lines, snapshot_used=_uses_snapshot_boundary(tree),
+        factories=_closure_factories(tree),
     )
     visitor.visit(tree)
     visitor.findings.sort(key=lambda f: (f.line, f.col, f.rule))

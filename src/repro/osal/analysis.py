@@ -38,15 +38,15 @@ def liu_layland_bound(n: int) -> float:
     return n * (2 ** (1.0 / n) - 1.0)
 
 
+def _priority_level(task: TaskSpec) -> float:
+    """Effective priority: explicit if set, else rate-monotonic (the
+    period); lower is more important."""
+    return task.priority if task.priority is not None else task.period
+
+
 def rm_priority_order(tasks: List[TaskSpec]) -> List[TaskSpec]:
     """Tasks ordered by effective priority (explicit, else rate-monotonic)."""
-    return sorted(
-        tasks,
-        key=lambda t: (
-            t.priority if t.priority is not None else t.period,
-            t.name,
-        ),
-    )
+    return sorted(tasks, key=lambda t: (_priority_level(t), t.name))
 
 
 def response_time_analysis(
@@ -57,19 +57,33 @@ def response_time_analysis(
 ) -> Dict[str, float]:
     """Exact worst-case response times under preemptive fixed priority.
 
-    The classic recurrence R = C + sum_{hp} ceil(R / T_j) * C_j, iterated
-    to fixpoint per task.  Returns ``{task name: response time}``; a task
-    whose recurrence exceeds its deadline gets ``float('inf')``.
+    The recurrence R = C + sum_{hp} (floor(R / T_j) + 1) * C_j, iterated
+    to fixpoint per task, counts every release of ``hp`` in the closed
+    window [0, R].  ``hp`` is every other task of the same or a higher
+    priority level: the scheduler serves equal priorities in release
+    order, so an equal-priority job released first runs first.  The
+    window is closed because activations run before completions at one
+    instant, so a job released exactly as this one would finish preempts
+    it; the classic ``ceil(R / T_j)`` misses that job.  Returns ``{task
+    name: response time}``; a task whose recurrence exceeds its deadline
+    gets ``float('inf')``.
     """
     ordered = rm_priority_order(tasks)
+    levels = [_priority_level(task) for task in ordered]
     results: Dict[str, float] = {}
     for index, task in enumerate(ordered):
         c_i = task.wcet / speed_factor
-        higher = ordered[:index]
+        higher = [
+            other for j, other in enumerate(ordered)
+            if j != index and levels[j] <= levels[index]
+        ]
         response = c_i
         for _ in range(max_iterations):
+            # the tolerance counts a release that float rounding puts a
+            # hair past R, as the simulated clock may
             interference = sum(
-                math.ceil(response / hp.period) * (hp.wcet / speed_factor)
+                (math.floor(response / hp.period + 1e-9) + 1)
+                * (hp.wcet / speed_factor)
                 for hp in higher
             )
             new_response = c_i + interference

@@ -50,9 +50,10 @@ class SchedulingPolicy:
     def idle(self, now: float) -> None:
         """``pick([], now)`` for a core left with no job at all.
 
-        :meth:`Core._complete` calls this instead of ``_reschedule``
-        when the finished job leaves the ready list empty; an override
-        must leave the policy in the state ``pick([], now)`` would.
+        :meth:`Core._finish_current` calls this instead of
+        ``_reschedule`` when the finished job leaves the ready list
+        empty; an override must leave the policy in the state
+        ``pick([], now)`` would.
         """
         self.pick([], now)
 
@@ -89,7 +90,19 @@ def _core_keys(name: str) -> Dict[str, Identity]:
 
 
 class Core:
-    """One processing core of an ECU."""
+    """One processing core of an ECU.
+
+    A job takes one path.  It is dispatched by :meth:`_start_running`,
+    whether it arrives on an idle core, wins a ``_reschedule`` or
+    resumes after a preemption or a quantum, and it finishes through
+    :meth:`_finish_current`.  ``_start_running`` arms one timer per
+    dispatch: a quantum cut if the policy slices the job; else the
+    completion, held back from the event queue when nothing can observe
+    it (``run()`` is dispatching, nothing else is ready, no completion
+    listener, tracer off, no sanitizer); else the completion event.
+    Every public entry settles a held completion first
+    (:meth:`settle_deferred`).
+    """
 
     #: finish instant of a completion held back from the event queue (see
     #: :meth:`settle_deferred`), and its reserved sequence number.  Class
@@ -184,37 +197,10 @@ class Core:
         ready = self.ready
         if self.current is None and not ready:
             # idle core: ``job`` is the only candidate, so the policy is
-            # asked about it alone and the job dispatched right here —
-            # the decision _reschedule would reach through a candidate
-            # list (no timer is pending while nothing runs)
-            now = sim.now
-            policy = self.policy
-            if policy.pick_sole(job, now) is job:
+            # asked about it alone, without a candidate list
+            if self.policy.pick_sole(job, sim.now) is job:
                 self.current = job
-                if job.start_time is None:
-                    job.start_time = now
-                self._run_started_at = now
-                run_for = job.remaining
-                quantum = policy.quantum
-                # straight onto the queue: sim.schedule's sign test is
-                # moot for a non-negative demand, and now + 0.0 == now
-                if quantum is not None and quantum < run_for:
-                    self._quantum_call = sim.queue.push(
-                        now + quantum, self._quantum_expired)
-                elif (sim.dispatching is not None
-                      and not self._completion_listeners
-                      and not sim.tracer.enabled
-                      and sim.sanitizer is None):
-                    # nothing can observe the finish: hold the completion
-                    # back, keeping its place in the event order, and
-                    # settle it when something next touches the core
-                    if self._due_seq is None:
-                        sim.add_settler(self)  # the first one it holds
-                    self._due = now + run_for
-                    self._due_seq = sim.queue.reserve()
-                else:
-                    self._completion = sim.queue.push(
-                        now + run_for, self._complete)
+                self._start_running(job)
                 return
             # declined (an exhausted budget): queue it and let the
             # general path park the core
@@ -308,9 +294,9 @@ class Core:
 
         If the completion sorts before that key, it would already have
         been dispatched, and nothing has looked at the core since: finish
-        the job in place, at its due instant, exactly as :meth:`_complete`
-        would have.  Otherwise push the completion event with its
-        reserved sequence number and return ``True``.
+        the job in place, at its due instant, through the helper
+        :meth:`_complete` uses.  Otherwise push the completion event with
+        its reserved sequence number and return ``True``.
         """
         due = self._due
         if due is None:
@@ -318,15 +304,8 @@ class Core:
         self._due = None
         if due < time or (due == time and (PRIORITY_NORMAL, self._due_seq)
                           < (priority, seq)):
-            job = self.current
-            self.busy_time += due - self._run_started_at
-            job.remaining = 0.0
-            self.current = None
             self.sim.events_counter.inc()
-            self._finish_job(job, due)
-            # no listener ran and the ready list is empty while a
-            # completion is held back: what _complete does in that case
-            self.policy.idle(due)
+            self._finish_current(due)
             return False
         self._completion = self.sim.queue.push(
             due, self._complete, (), PRIORITY_NORMAL, self._due_seq)
@@ -361,9 +340,7 @@ class Core:
         now = self.sim.now
         choice = policy.pick(candidates, now)
         if choice is not None and choice is current:
-            if self._completion is None and self._quantum_call is None:
-                self._start_running(current)
-            return
+            return  # it keeps running, its timer armed
         if current is not None:
             if not policy.preemptive:
                 return  # let the running job finish
@@ -390,8 +367,6 @@ class Core:
         """Charge the running job for time elapsed since dispatch."""
         if self.current is None:
             return
-        if self._completion is None and self._quantum_call is None:
-            return  # not actually executing (mid-transition)
         elapsed = self.sim.now - self._run_started_at
         if elapsed > 0:
             self.current.remaining = max(0.0, self.current.remaining - elapsed)
@@ -416,6 +391,9 @@ class Core:
             )
 
     def _start_running(self, job: Job) -> None:
+        """Dispatch ``job`` and arm its one timer: a quantum cut if the
+        policy slices it, else its completion, held back while nothing
+        can observe the finish (see :meth:`settle_deferred`)."""
         sim = self.sim
         now = sim.now
         if job.start_time is None:
@@ -423,12 +401,25 @@ class Core:
         self._run_started_at = now
         run_for = job.remaining
         quantum = self.policy.quantum
-        if self._completion is not None or self._quantum_call is not None:
-            self._cancel_timers()
+        # straight onto the queue: sim.schedule's sign test is moot for a
+        # non-negative demand, and now + 0.0 == now
         if quantum is not None and quantum < run_for:
-            self._quantum_call = sim.schedule(quantum, self._quantum_expired)
+            self._quantum_call = sim.queue.push(
+                now + quantum, self._quantum_expired)
+        elif (not self.ready
+              and sim.dispatching is not None
+              and not self._completion_listeners
+              and not sim.tracer.enabled
+              and sim.sanitizer is None):
+            # nothing else is ready and nothing can observe the finish:
+            # hold the completion back, keeping its place in the event
+            # order, and settle it when something next touches the core
+            if self._due_seq is None:
+                sim.add_settler(self)  # the first one it holds
+            self._due = now + run_for
+            self._due_seq = sim.queue.reserve()
         else:
-            self._completion = sim.schedule(run_for, self._complete)
+            self._completion = sim.queue.push(now + run_for, self._complete)
 
     def _cancel_timers(self) -> None:
         # the core holds the only reference to these handles, so a
@@ -450,45 +441,41 @@ class Core:
             self._reschedule()
 
     def _quantum_expired(self) -> None:
+        # currently dispatching and about to be dropped: recycle it
+        self._quantum_call.pooled = True
+        self._quantum_call = None
         job = self.current
-        if job is None:
+        now = self.sim.now
+        elapsed = now - self._run_started_at
+        remaining = job.remaining - elapsed
+        if remaining <= 1e-12:
+            self._finish_current(now)
             return
-        elapsed = self.sim.now - self._run_started_at
-        job.remaining = max(0.0, job.remaining - elapsed)
+        job.remaining = remaining
         self.busy_time += elapsed
-        if self._quantum_call is not None:
-            # currently dispatching and about to be dropped: recycle it
-            self._quantum_call.pooled = True
-            self._quantum_call = None
         self.current = None
-        if job.remaining <= 1e-12:
-            self._finish_job(job, self.sim.now)
-        else:
-            self.ready.append(job)
-            self.policy.on_quantum_expired(job, self.ready)
+        ready = self.ready
+        ready.append(job)
+        self.policy.on_quantum_expired(job, ready)
         self._reschedule()
 
     def _complete(self) -> None:
-        job = self.current
-        if job is None:
-            return
-        self.busy_time += self.sim.now - self._run_started_at
-        job.remaining = 0.0
-        completion = self._completion
-        if completion is not None:
-            completion.pooled = True
-            self._completion = None
-        self.current = None
-        now = self.sim.now
-        self._finish_job(job, now)
-        if self.current is None and not self.ready and not self.halted:
-            # nothing left to choose from (a completion listener may have
-            # released or halted): _reschedule would only run pick([])
-            self.policy.idle(now)
-        else:
-            self._reschedule()
+        # currently dispatching and about to be dropped: recycle it
+        self._completion.pooled = True
+        self._completion = None
+        self._finish_current(self.sim.now)
 
-    def _finish_job(self, job: Job, now: float) -> None:
+    def _finish_current(self, now: float) -> None:
+        """Finish the running job at ``now`` and choose what runs next.
+
+        The one completion path: for a completion event, a held
+        completion settled in place and a quantum cut that leaves no
+        demand alike.
+        """
+        job = self.current
+        self.busy_time += now - self._run_started_at
+        job.remaining = 0.0
+        self.current = None
         job.finish_time = now
         completed = self.completed_jobs
         completed.append(job)
@@ -514,6 +501,12 @@ class Core:
             )
         for listener in self._completion_listeners:
             listener(job)
+        if self.current is None and not self.ready and not self.halted:
+            # nothing left to choose from (a completion listener may have
+            # released or halted): _reschedule would only run pick([])
+            self.policy.idle(now)
+        else:
+            self._reschedule()
 
 
 class PeriodicSource:

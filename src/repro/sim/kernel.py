@@ -377,6 +377,11 @@ class Simulator:
         ``(time, priority, seq)``, and otherwise pushes it with its
         reserved number and returns ``True``.  Register once, before the
         first event the object holds back.
+
+        The settler in this code base is an OSAL core: it holds a job's
+        completion when it dispatches the job with nothing else ready,
+        no completion listener, the tracer off and no sanitizer
+        attached.
         """
         self._settlers.append(obj)
 

@@ -155,6 +155,40 @@ class TestSnapshotBoundary:
                 return sim.fork()
         """) == ["PICK511", "PICK511"]
 
+    def test_closure_from_module_level_factory_flagged(self):
+        # the factory's nested function escapes by return: every call
+        # makes a closure, wherever it is scheduled
+        assert rules("""
+            def counting(count):
+                def bump():
+                    count[0] += 1
+                return bump
+
+            def setup(sim, count):
+                sim.post(0.1, counting(count))
+                return sim.snapshot()
+        """) == ["PICK511"]
+
+    def test_factory_returning_a_module_level_function_is_fine(self):
+        # only a function defined inside the factory is a closure; a
+        # nested def deeper down that returns its own helper is not
+        # the factory's return value
+        assert rules("""
+            def tick():
+                pass
+
+            def pick(flag):
+                def unused():
+                    def inner():
+                        pass
+                    return inner
+                return tick
+
+            def setup(sim):
+                sim.post(0.1, pick(True))
+                return sim.snapshot()
+        """) == []
+
 
 class TestCheckpointBoundary:
     def test_lambda_in_checkpoint_plan(self):

@@ -69,6 +69,21 @@ class TestRta:
         r = response_time_analysis(tasks)
         assert math.isinf(r["b"])
 
+    def test_equal_priorities_interfere_both_ways(self):
+        # equal priorities run in release order: a's job at 0 waits for
+        # nothing, but its job at 2 ms may wait for b's released at 0
+        tasks = [task("a", 0.002, 0.0002, priority=1),
+                 task("b", 0.004, 0.0004, priority=1)]
+        r = response_time_analysis(tasks)
+        assert r["a"] == pytest.approx(0.0006)
+        assert r["b"] == pytest.approx(0.0006)
+
+    def test_release_at_the_finish_instant_interferes(self):
+        # slow would finish at 2 ms, as fast's second job is released;
+        # activations run first, so fast preempts it and it ends at 3 ms
+        tasks = [task("fast", 0.002, 0.001), task("slow", 0.010, 0.001)]
+        assert response_time_analysis(tasks)["slow"] == pytest.approx(0.003)
+
     def test_priority_order_helper(self):
         tasks = [task("slow", 0.1, 0.001), task("fast", 0.01, 0.001)]
         assert [t.name for t in rm_priority_order(tasks)] == ["fast", "slow"]

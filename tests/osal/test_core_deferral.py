@@ -23,7 +23,7 @@ from repro.osal import Core, FixedPriorityPolicy, PeriodicSource, TaskSpec
 from repro.osal.task import Job
 from repro.sim import PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_URGENT, Simulator, Tracer
 
-from .test_core_fastpath import (
+from .worlds import (
     CASES,
     POLICIES,
     Perturb,
@@ -245,8 +245,9 @@ class TestExactTies:
         pushed, all_pushes = tie_world(early=True, always_push=True)
         assert deferred == pushed
         assert deferred[0] == [(1, 0.0, 0.005, 1), (99, 0.004, 0.005, 0)]
-        # the held completion had to be pushed after all
-        assert pushes == all_pushes
+        # loop's held completion had to be pushed, but loop resumes
+        # after hi with nothing else ready, so its finish is held again
+        assert pushes < all_pushes
 
     def test_release_with_higher_seq_finds_the_core_idle(self):
         # the completion sorts first: loop finishes at 4 ms and hi is

@@ -45,8 +45,8 @@ class Ticker:
 
 
 def counting_callback(count):
-    """A nested function bumping ``count[0]``: a closure, which the
-    static pass cannot see through this factory, but pickle refuses."""
+    """A nested function bumping ``count[0]``: a closure, returned by a
+    module-level factory, which pickle refuses."""
     def bump():
         count[0] += 1
     return bump
@@ -116,7 +116,7 @@ class TestForkApi:
         # the source world and every restore; pickle names the closure
         sim = Simulator()
         count = [0]
-        sim.post(0.1, counting_callback(count))
+        sim.post(0.1, counting_callback(count))  # repro: allow[PICK511]
         with pytest.raises(SnapshotError, match="<locals>"):
             sim.snapshot()
         with pytest.raises(SnapshotError, match="<locals>"):
