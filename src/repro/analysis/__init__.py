@@ -16,27 +16,17 @@ process model *before* anything runs:
 * **races** (:mod:`repro.analysis.races`) — schedule-site pairs at one
   ``(time, priority)`` instant touching the same attribute.
 
-All passes share pragma suppression (``# repro: allow[RULE]``),
-family-split baselines, an incremental content-addressed cache
-(:mod:`repro.analysis.cache`) and a mechanical autofixer
-(:mod:`repro.analysis.fixer`).  :mod:`repro.analysis.sanitizer` is the
-runtime complement: an opt-in kernel mode detecting same-instant races
-on interleavings a seed actually exercises.
+All passes share one gate: a finding fails the run unless a
+``# repro: allow[RULE]`` (or ``allow-file``) pragma at its site names
+its rule.  :mod:`repro.analysis.sanitizer` is the runtime complement:
+an opt-in kernel mode detecting same-instant races on interleavings a
+seed actually exercises.
 """
 
 from .arch import ARCH_RULES, DEFAULT_CONTRACT, LayerContract
-from .cache import AnalysisCache
 from .detectors import RULES, Finding, Rule, detect
 from .graph import ModuleGraph, collect_imports
-from .lint import (
-    ALL_PASSES,
-    AnalysisReport,
-    analysis_salt,
-    load_baseline,
-    new_findings,
-    run_analysis,
-    save_baseline,
-)
+from .lint import ALL_PASSES, AnalysisReport, run_analysis
 from .pickle_safety import PICKLE_RULES
 from .races import RACE_RULES
 from .sanitizer import KernelSanitizer, SanitizerReport
@@ -44,7 +34,6 @@ from .sanitizer import KernelSanitizer, SanitizerReport
 __all__ = [
     "ALL_PASSES",
     "ARCH_RULES",
-    "AnalysisCache",
     "AnalysisReport",
     "DEFAULT_CONTRACT",
     "Finding",
@@ -56,11 +45,7 @@ __all__ = [
     "RULES",
     "Rule",
     "SanitizerReport",
-    "analysis_salt",
     "collect_imports",
     "detect",
-    "load_baseline",
-    "new_findings",
     "run_analysis",
-    "save_baseline",
 ]

@@ -89,14 +89,6 @@ class LayerContract:
             return None
         return deps | self.universal | {package}
 
-    def fingerprint(self) -> str:
-        """Stable serialization — part of the analysis cache key, so
-        editing the contract invalidates cached layer verdicts."""
-        parts = [self.root, ",".join(sorted(self.universal))]
-        for pkg in sorted(self.layers):
-            parts.append(f"{pkg}:{','.join(sorted(self.layers[pkg]))}")
-        return ";".join(parts)
-
 
 def _fs(*names: str) -> FrozenSet[str]:
     return frozenset(names)
@@ -158,8 +150,8 @@ def check_module_layers(
 ) -> List[Finding]:
     """Per-file layer verdicts (ARCH601/603/604) for one module.
 
-    Pure function of (module info, contract) — cacheable per file with
-    the contract fingerprint folded into the cache key.
+    Pure function of (module info, contract); the whole-program cycle
+    check (ARCH602) is :func:`check_cycles`.
     """
     findings: List[Finding] = []
     package = info.package(contract.root)

@@ -29,7 +29,7 @@ Notes on scope:
 
 Every detector emits :class:`Finding` records carrying a rule id,
 severity, message and fix-it hint; suppression via ``# repro: allow[...]``
-pragmas and baseline diffing live in :mod:`repro.analysis.lint`.
+pragmas lives in :mod:`repro.analysis.lint`.
 """
 
 from __future__ import annotations
@@ -130,17 +130,10 @@ class Finding:
     col: int
     message: str
     hint: str
-    #: stripped source text of the flagged line — the stable part of the
-    #: baseline fingerprint (line numbers shift, text rarely does)
+    #: stripped source text of the flagged line
     text: str = ""
-    #: last physical line of the flagged statement (pragma placement);
-    #: not part of the fingerprint
+    #: last physical line of the flagged statement (pragma placement)
     end_line: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Baseline identity: stable across unrelated edits to the file."""
-        return f"{self.path}::{self.rule}::{self.text}"
 
     def render(self) -> str:
         return (
@@ -151,37 +144,8 @@ class Finding:
     @property
     def family(self) -> str:
         """Rule family: the leading letters of the rule id (``DET``,
-        ``PICK``, ``ARCH``, ``RACE``) — the unit of baseline splitting
-        and summary reporting."""
+        ``PICK``, ``ARCH``, ``RACE``) — the unit of summary reporting."""
         return rule_family(self.rule)
-
-    def to_cache_dict(self) -> Dict[str, object]:
-        """Full serialization for the incremental analysis cache."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-            "text": self.text,
-            "end_line": self.end_line,
-        }
-
-    @classmethod
-    def from_cache_dict(cls, payload: Dict[str, object]) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            severity=str(payload["severity"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-            hint=str(payload["hint"]),
-            text=str(payload.get("text", "")),
-            end_line=int(payload.get("end_line", 0)),  # type: ignore[arg-type]
-        )
 
 
 def rule_family(rule_id: str) -> str:
@@ -631,7 +595,7 @@ def detect(
 
     Args:
         source: the module's source text.
-        path: repo-relative posix path used in findings and fingerprints.
+        path: repo-relative posix path used in findings.
         allow_raw_random: disable DET101 for the one sanctioned module
             (``sim/rng.py`` wraps ``random.Random`` by design).
         tree: optionally a pre-parsed AST of ``source`` — the multi-pass

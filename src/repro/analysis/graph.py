@@ -40,7 +40,7 @@ class ImportEdge:
     #: attribute; the graph resolves it against scanned modules, and the
     #: layer check treats it conservatively
     maybe_attribute: bool = False
-    #: stripped source text of the import line (baseline fingerprints)
+    #: stripped source text of the import line (a finding's ``text``)
     text: str = ""
 
 

@@ -1,4 +1,4 @@
-"""Analysis driver: file walking, pragmas, baselines and JSON reports.
+"""Analysis driver: file walking, pragmas and JSON reports.
 
 This module turns the per-file passes (:mod:`repro.analysis.detectors`,
 :mod:`~repro.analysis.pickle_safety`, :mod:`~repro.analysis.arch`,
@@ -8,17 +8,14 @@ This module turns the per-file passes (:mod:`repro.analysis.detectors`,
   given paths in sorted order, so reports are byte-identical across
   machines (the analyzer holds itself to the determinism bar it
   enforces).  ``passes=("det",)`` runs the determinism detectors alone.
-* **Pragmas** — a trailing ``# repro: allow[DET201]`` comment suppresses
-  the named rule(s) on that line (comma-separate for several); a bare
-  ``# repro: allow`` suppresses every rule on the line; a
-  ``# repro: allow-file[DET301]`` comment anywhere in the file
-  suppresses the rule for the whole file.  For multi-line statements the
-  pragma may sit on the first or last physical line of the statement.
-* **Baselines** — a baseline file maps finding fingerprints (path, rule
-  and source-line text — not line numbers, which shift on unrelated
-  edits) to occurrence counts.  :func:`new_findings` returns only the
-  occurrences *beyond* the baselined count, so CI fails on regressions
-  without forcing a big-bang cleanup of historical debt.
+* **Pragmas** — the one suppression mechanism: every finding fails the
+  run unless a pragma at its site names its rule.  A trailing
+  ``# repro: allow[DET201]`` comment suppresses the named rule(s) on
+  that line (comma-separate for several); a bare ``# repro: allow``
+  suppresses every rule on the line; a ``# repro: allow-file[DET301]``
+  comment anywhere in the file suppresses the rule for the whole file.
+  For multi-line statements the pragma may sit on the first or last
+  physical line of the statement.
 * **Reports** — :meth:`AnalysisReport.to_dict` is a stable JSON schema
   consumed by the golden-file tests and the CI job.
 """
@@ -39,17 +36,13 @@ from .arch import (
     check_cycles,
     check_module_layers,
 )
-from .cache import AnalysisCache, version_salt
 from .detectors import RULES, Finding, Rule, detect, rule_family
-from .graph import ImportEdge, ModuleGraph, ModuleInfo, collect_imports
+from .graph import ModuleGraph, ModuleInfo, collect_imports
 from .pickle_safety import PICKLE_RULES, check_pickle_safety
 from .races import RACE_RULES, check_races
 
 #: JSON schema of :class:`AnalysisReport`.
 SCHEMA_VERSION = 2
-
-#: JSON schema of a baseline file.
-BASELINE_SCHEMA_VERSION = 1
 
 #: a directory containing this file is a fixture tree with *planted*
 #: violations: the walker skips it unless it is the scan root itself
@@ -137,27 +130,6 @@ class PragmaIndex:
                 return True
         return False
 
-    def to_dict(self) -> Dict:
-        """Cache serialization (whole-program passes re-check pragmas
-        for files whose per-file results came from the cache)."""
-        return {
-            "file_allows": sorted(self.file_allows),
-            "line_allows": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self.line_allows.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "PragmaIndex":
-        index = cls()
-        index.file_allows = set(payload.get("file_allows", ()))
-        index.line_allows = {
-            int(line): set(rules)
-            for line, rules in payload.get("line_allows", {}).items()
-        }
-        return index
-
 
 def _iter_python_files(paths: Iterable[str], root: str) -> List[str]:
     """Absolute paths of every ``.py`` file under ``paths``, sorted."""
@@ -190,43 +162,18 @@ def _relpath(path: str, root: str) -> str:
     return rel.replace(os.sep, "/")
 
 
-# -- baselines -----------------------------------------------------------
-
-
-def save_baseline(baseline: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(baseline, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_baseline(path: str) -> Dict[str, int]:
-    """Fingerprint counts from a baseline file (empty if absent)."""
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    fingerprints = raw.get("fingerprints", {})
-    return {str(k): int(v) for k, v in fingerprints.items()}
-
-
 # -- reports and the driver ----------------------------------------------
 
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis run produced.
-
-    The cache counters are *not* part of :meth:`to_dict`: reports must
-    be byte-identical with the cache hot, cold, or disabled.
-    """
+    """Everything one analysis run produced."""
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
     parse_errors: List[str] = field(default_factory=list)
     passes: Tuple[str, ...] = ALL_PASSES
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def errors(self) -> List[Finding]:
@@ -303,38 +250,22 @@ def _analyze_source(
     rel: str,
     passes: Sequence[str],
     contract: LayerContract,
-) -> Dict:
-    """Compute one file's cacheable analysis entry (all products)."""
+    report: AnalysisReport,
+) -> Tuple[Optional[ModuleInfo], PragmaIndex]:
+    """Run the per-file passes over one file, appending to ``report``.
+
+    Returns the file's import-graph node (``None`` if it does not
+    parse) and its pragmas, which the whole-program cycle check needs.
+    """
     lines = source.splitlines()
     pragmas = PragmaIndex.scan(lines)
-    entry: Dict = {
-        "parse_error": None,
-        "passes": {},
-        "imports": [],
-        "pragmas": pragmas.to_dict(),
-    }
     try:
         tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
-        entry["parse_error"] = f"{rel}: {exc.msg} (line {exc.lineno})"
-        for name in passes:
-            entry["passes"][name] = {"findings": [], "suppressed": 0}
-        return entry
+        report.parse_errors.append(f"{rel}: {exc.msg} (line {exc.lineno})")
+        return None, pragmas
 
     info = collect_imports(tree, rel, lines)
-    entry["imports"] = [
-        {
-            "target": edge.target,
-            "line": edge.line,
-            "col": edge.col,
-            "lazy": edge.lazy,
-            "type_checking": edge.type_checking,
-            "maybe_attribute": edge.maybe_attribute,
-            "text": edge.text,
-        }
-        for edge in info.edges
-    ]
-
     for name in passes:
         if name == PASS_DET:
             allow_raw = any(
@@ -351,52 +282,12 @@ def _analyze_source(
             found = check_races(tree, rel, lines)
         else:
             raise ValueError(f"unknown analysis pass {name!r}")
-        kept: List[Dict] = []
-        suppressed = 0
         for finding in found:
             if pragmas.suppresses(finding, finding.end_line):
-                suppressed += 1
+                report.suppressed += 1
             else:
-                kept.append(finding.to_cache_dict())
-        entry["passes"][name] = {
-            "findings": kept, "suppressed": suppressed,
-        }
-    return entry
-
-
-def _module_info_from_entry(rel: str, entry: Dict) -> ModuleInfo:
-    from .graph import module_name_for
-
-    edges = [
-        ImportEdge(
-            target=e["target"],
-            line=int(e["line"]),
-            col=int(e["col"]),
-            lazy=bool(e["lazy"]),
-            type_checking=bool(e["type_checking"]),
-            maybe_attribute=bool(e.get("maybe_attribute", False)),
-            text=str(e.get("text", "")),
-        )
-        for e in entry.get("imports", ())
-    ]
-    return ModuleInfo(path=rel, module=module_name_for(rel), edges=edges)
-
-
-def analysis_salt(
-    passes: Sequence[str] = ALL_PASSES,
-    contract: LayerContract = DEFAULT_CONTRACT,
-) -> str:
-    """Cache salt folding the pass set, rule catalogue and contract.
-
-    Any detector upgrade (new rule id), contract edit, or pass-set
-    change yields a fresh salt, so stale cache generations are never
-    even addressed.
-    """
-    return version_salt(
-        ",".join(passes),
-        ",".join(sorted(rules_for_passes(passes))),
-        contract.fingerprint(),
-    )
+                report.findings.append(finding)
+    return info, pragmas
 
 
 def run_analysis(
@@ -404,15 +295,13 @@ def run_analysis(
     root: str,
     *,
     passes: Sequence[str] = ALL_PASSES,
-    cache: Optional[AnalysisCache] = None,
     contract: LayerContract = DEFAULT_CONTRACT,
 ) -> AnalysisReport:
     """Run the requested passes over every Python file under ``paths``.
 
-    With a cache, per-file work is skipped for files whose (path,
-    content, analyzer version) triple has been seen before; the report
-    is byte-identical either way.  Whole-program products (ARCH602
-    cycles) are recomputed every run from the per-file import lists.
+    Every finding not suppressed by a pragma lands in
+    :attr:`AnalysisReport.findings`.  Whole-program products (ARCH602
+    cycles) are computed last, from the per-file import lists.
     """
     for name in passes:
         if name not in PASS_RULES:
@@ -421,78 +310,27 @@ def run_analysis(
                 f"expected one of {', '.join(ALL_PASSES)}"
             )
     report = AnalysisReport(passes=tuple(passes))
-    entries: List[Tuple[str, Dict]] = []
+    infos: List[ModuleInfo] = []
+    pragma_by_path: Dict[str, PragmaIndex] = {}
     for absolute in _iter_python_files(paths, root):
         rel = _relpath(absolute, root)
         with open(absolute, "rb") as fh:
-            content = fh.read()
-        entry: Optional[Dict] = None
-        key = ""
-        if cache is not None:
-            key = cache.key(rel, content)
-            cached = cache.load(key)
-            if cached is not None and all(
-                name in cached.get("passes", {}) for name in passes
-            ):
-                entry = cached
-        if entry is None:
-            source = content.decode("utf-8")
-            entry = _analyze_source(source, rel, passes, contract)
-            if cache is not None:
-                cache.store(key, entry)
+            source = fh.read().decode("utf-8")
+        info, pragma_by_path[rel] = _analyze_source(
+            source, rel, passes, contract, report
+        )
         report.files_scanned += 1
-        entries.append((rel, entry))
-        if entry["parse_error"] is not None:
-            report.parse_errors.append(entry["parse_error"])
-            continue
-        for name in passes:
-            per_pass = entry["passes"][name]
-            report.suppressed += per_pass["suppressed"]
-            report.findings.extend(
-                Finding.from_cache_dict(f) for f in per_pass["findings"]
-            )
+        if info is not None:
+            infos.append(info)
 
     if PASS_ARCH in passes:
-        graph = ModuleGraph(
-            _module_info_from_entry(rel, entry)
-            for rel, entry in entries
-            if entry["parse_error"] is None
-        )
-        pragma_by_path = {
-            rel: PragmaIndex.from_dict(entry.get("pragmas", {}))
-            for rel, entry in entries
-        }
-        for finding in check_cycles(graph):
-            pragmas = pragma_by_path.get(finding.path)
-            if pragmas is not None and pragmas.suppresses(
+        for finding in check_cycles(ModuleGraph(infos)):
+            if pragma_by_path[finding.path].suppresses(
                 finding, finding.end_line
             ):
                 report.suppressed += 1
             else:
                 report.findings.append(finding)
 
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
-
-
-def new_findings(
-    report: AnalysisReport, baseline: Dict[str, int]
-) -> List[Finding]:
-    """Findings not covered by the baseline.
-
-    For each fingerprint, the first ``baseline[fp]`` occurrences (in
-    path/line order) are considered historical; everything beyond that
-    count is new.  A fingerprint absent from the baseline is entirely new.
-    """
-    remaining = dict(baseline)
-    fresh: List[Finding] = []
-    for finding in report.findings:
-        credit = remaining.get(finding.fingerprint, 0)
-        if credit > 0:
-            remaining[finding.fingerprint] = credit - 1
-        else:
-            fresh.append(finding)
-    return fresh

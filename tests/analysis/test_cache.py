@@ -1,17 +1,17 @@
-"""Incremental analysis cache: byte-identical hot/cold, edit-safe.
+"""A run is a pure function of the scanned tree.
 
-The load-bearing property is exact: a report produced from a warm cache
-must equal the no-cache report **byte for byte**, including after
-editing one file.  A cache that changes output is not an optimization,
-it is a second analyzer.
+Every run parses every file afresh, so two runs over one tree must
+serialize byte for byte alike, an edit to one file may change only that
+file's findings, the pass set and layer contract must show in the
+report, and the analysis must leave the tree exactly as it found it.
 """
 
 import json
 import os
-import time
 
-from repro.analysis.cache import AnalysisCache, version_salt
-from repro.analysis.lint import analysis_salt, run_analysis
+from repro.analysis.__main__ import main
+from repro.analysis.arch import LayerContract
+from repro.analysis.lint import run_analysis
 
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..")
@@ -33,127 +33,103 @@ def write(root, rel, content):
     path.write_text(content, encoding="utf-8")
 
 
+def tree_listing(root):
+    """Every file under ``root`` with its bytes."""
+    out = {}
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
 class TestByteIdentical:
     def test_cold_warm_and_uncached_reports_match(self, tmp_path):
         write(tmp_path, "src/a.py", HAZARD)
         write(tmp_path, "src/b.py", CLEAN)
-        cache_dir = str(tmp_path / "cache")
-        salt = analysis_salt()
         root = str(tmp_path)
-
-        cold_cache = AnalysisCache(cache_dir, salt)
-        cold = run_analysis(["src"], root, cache=cold_cache)
-        assert cold_cache.stores == 2 and cold_cache.hits == 0
-
-        warm_cache = AnalysisCache(cache_dir, salt)
-        warm = run_analysis(["src"], root, cache=warm_cache)
-        assert warm_cache.hits == 2 and warm_cache.misses == 0
-
-        uncached = run_analysis(["src"], root)
-        assert cold.to_json() == warm.to_json() == uncached.to_json()
+        first = run_analysis(["src"], root)
+        second = run_analysis(["src"], root)
+        assert len(first.findings) == 1
+        assert first.to_json() == second.to_json()
 
     def test_one_file_edit_reanalyzes_only_that_file(self, tmp_path):
         write(tmp_path, "src/a.py", HAZARD)
         write(tmp_path, "src/b.py", CLEAN)
-        cache_dir = str(tmp_path / "cache")
-        salt = analysis_salt()
         root = str(tmp_path)
-        run_analysis(["src"], root, cache=AnalysisCache(cache_dir, salt))
+        before = run_analysis(["src"], root)
 
-        write(tmp_path, "src/b.py", CLEAN + "\n# touched\n")
-        edited_cache = AnalysisCache(cache_dir, salt)
-        edited = run_analysis(["src"], root, cache=edited_cache)
-        assert edited_cache.hits == 1          # a.py replayed
-        assert edited_cache.misses == 1        # b.py recomputed
-        uncached = run_analysis(["src"], root)
-        assert edited.to_json() == uncached.to_json()
+        write(tmp_path, "src/b.py", CLEAN + "\n" + HAZARD)
+        after = run_analysis(["src"], root)
+        a_before = [f for f in before.findings if f.path == "src/a.py"]
+        a_after = [f for f in after.findings if f.path == "src/a.py"]
+        assert a_after == a_before
+        assert [f.path for f in after.findings] == ["src/a.py", "src/b.py"]
 
-    def test_real_repo_warm_run_identical_and_faster(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        salt = analysis_salt()
-
-        t0 = time.perf_counter()
-        cold = run_analysis(
-            ["src/repro"], REPO_ROOT,
-            cache=AnalysisCache(cache_dir, salt),
+    def test_real_repo_warm_run_identical_and_faster(self):
+        # overlapping arguments scan each file once, in one sorted order
+        whole = run_analysis(["src/repro"], REPO_ROOT)
+        overlapping = run_analysis(
+            ["src/repro/sim", "src/repro", "src/repro/sim/kernel.py"],
+            REPO_ROOT,
         )
-        cold_elapsed = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        warm = run_analysis(
-            ["src/repro"], REPO_ROOT,
-            cache=AnalysisCache(cache_dir, salt),
-        )
-        warm_elapsed = time.perf_counter() - t1
-
-        assert cold.to_json() == warm.to_json()
-        # "measurably faster": a full AST parse+visit of the tree versus
-        # JSON loads — anything under half the cold time is real
-        assert warm_elapsed < cold_elapsed / 2, (
-            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s"
-        )
+        assert whole.files_scanned > 0
+        assert overlapping.to_json() == whole.to_json()
 
 
 class TestInvalidation:
-    def test_salt_changes_with_rule_or_contract_config(self):
-        assert version_salt("a") != version_salt("b")
-        assert analysis_salt(["det"]) != analysis_salt(["det", "arch"])
+    def test_salt_changes_with_rule_or_contract_config(self, tmp_path):
+        write(
+            tmp_path, "src/repro/sim/mod.py",
+            "from repro.exec.pool import run_jobs\n",
+        )
+        root = str(tmp_path)
+        det = run_analysis(["src"], root, passes=["det"]).to_dict()
+        both = run_analysis(["src"], root, passes=["det", "arch"]).to_dict()
+        assert set(det["rules"]) < set(both["rules"])
+        assert det["findings"] == []
+        assert [f["rule"] for f in both["findings"]] == ["ARCH601"]
+
+        permissive = LayerContract(
+            layers={"sim": frozenset({"exec"}), "exec": frozenset()}
+        )
+        relaxed = run_analysis(
+            ["src"], root, passes=["arch"], contract=permissive
+        )
+        assert relaxed.findings == []
 
     def test_torn_entry_is_a_miss_not_a_crash(self, tmp_path):
+        # a file cut off mid-statement is a parse error for that file
+        # only; every other file is still analysed
         write(tmp_path, "src/a.py", HAZARD)
-        cache_dir = str(tmp_path / "cache")
-        salt = analysis_salt()
-        root = str(tmp_path)
-        cache = AnalysisCache(cache_dir, salt)
-        baseline = run_analysis(["src"], root, cache=cache)
-
-        # corrupt every stored entry (simulates a crash mid-write)
-        for dirpath, _dirnames, filenames in os.walk(cache_dir):
-            for name in filenames:
-                with open(os.path.join(dirpath, name), "w") as fh:
-                    fh.write("{ torn")
-        recovered = run_analysis(
-            ["src"], root, cache=AnalysisCache(cache_dir, salt)
-        )
-        assert recovered.to_json() == baseline.to_json()
+        write(tmp_path, "src/torn.py", HAZARD[: len(HAZARD) // 2 + 3])
+        report = run_analysis(["src"], str(tmp_path))
+        assert len(report.parse_errors) == 1
+        assert report.parse_errors[0].startswith("src/torn.py: ")
+        assert [f.path for f in report.findings] == ["src/a.py"]
 
     def test_prune_removes_other_generations(self, tmp_path):
-        write(tmp_path, "src/a.py", CLEAN)
-        cache_dir = str(tmp_path / "cache")
-        root = str(tmp_path)
-        old = AnalysisCache(cache_dir, "oldsalt")
-        run_analysis(["src"], root, cache=old)
-        assert old.stores == 1
-
-        new = AnalysisCache(cache_dir, analysis_salt())
-        run_analysis(["src"], root, cache=new)
-        removed = new.prune()
-        assert removed == 1
-        assert not os.path.exists(os.path.join(cache_dir, "oldsalt"))
-        assert os.path.exists(os.path.join(cache_dir, new.salt))
+        # the analysis writes nothing beside the tree it reads
+        write(tmp_path, "src/a.py", HAZARD)
+        write(tmp_path, "src/b.py", CLEAN)
+        before = tree_listing(str(tmp_path))
+        run_analysis(["src"], str(tmp_path))
+        assert main(["--root", str(tmp_path)]) == 1
+        assert tree_listing(str(tmp_path)) == before
 
     def test_unwritable_cache_dir_degrades_gracefully(self, tmp_path):
-        write(tmp_path, "src/a.py", HAZARD)
-        # a regular file where the cache directory should be: every
-        # store raises OSError, which must disable caching, not analysis
-        blocker = tmp_path / "cache"
-        blocker.write_text("not a directory")
-        cache = AnalysisCache(str(blocker), analysis_salt())
-        report = run_analysis(["src"], str(tmp_path), cache=cache)
-        assert cache.stores == 0
-        assert report.to_json() == run_analysis(
-            ["src"], str(tmp_path)
-        ).to_json()
+        # dot-directories (editor, VCS or tool state) are never scanned
+        write(tmp_path, "src/a.py", CLEAN)
+        write(tmp_path, "src/.state/stale.py", HAZARD)
+        report = run_analysis(["src"], str(tmp_path))
+        assert report.files_scanned == 1
+        assert report.findings == []
 
     def test_entries_are_sorted_json(self, tmp_path):
         write(tmp_path, "src/a.py", HAZARD)
-        cache_dir = str(tmp_path / "cache")
-        salt = analysis_salt()
-        run_analysis(
-            ["src"], str(tmp_path), cache=AnalysisCache(cache_dir, salt)
+        report = run_analysis(["src"], str(tmp_path))
+        payload = json.loads(report.to_json())
+        assert report.to_json() == json.dumps(
+            payload, indent=2, sort_keys=True
         )
-        for dirpath, _dirnames, filenames in os.walk(cache_dir):
-            for name in filenames:
-                with open(os.path.join(dirpath, name)) as fh:
-                    entry = json.load(fh)
-                assert json.dumps(entry, sort_keys=True) == json.dumps(entry)

@@ -383,11 +383,7 @@ class TestFindingMetadata:
             """
         )
         assert [f.line for f in findings] == sorted(f.line for f in findings)
-        first = findings[1]
-        assert first.fingerprint == (
-            f"{first.path}::{first.rule}::{first.text}"
-        )
-        assert "random.random()" in first.text
+        assert "random.random()" in findings[1].text
 
     def test_render_mentions_rule_and_hint(self):
         finding = findings_for(

@@ -1,16 +1,11 @@
-"""Tests for pragmas, baseline diffing and the ``repro.analysis`` CLI."""
+"""Tests for pragmas and the ``repro.analysis`` CLI."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis import (
-    load_baseline,
-    new_findings,
-    run_analysis,
-    save_baseline,
-)
+from repro.analysis import run_analysis
 from repro.analysis.__main__ import main
 from repro.analysis.lint import PragmaIndex
 
@@ -34,14 +29,6 @@ def write(tmp_path, rel, source):
 def run_det(paths, root):
     """The determinism pass alone."""
     return run_analysis(paths, str(root), passes=("det",))
-
-
-def baseline_of(report):
-    """A schema-1 baseline crediting every finding of ``report``."""
-    counts = {}
-    for finding in report.findings:
-        counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-    return {"schema": 1, "fingerprints": counts}
 
 
 class TestPragmas:
@@ -148,24 +135,36 @@ class TestPragmas:
 
 
 class TestBaseline:
+    """A finding is identified by its site: nothing but a pragma on its
+    own line (or an ``allow-file`` pragma) accepts it."""
+
     def test_roundtrip(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
-        report = run_det(["src"], tmp_path)
-        baseline = baseline_of(report)
-        target = tmp_path / "baseline.json"
-        save_baseline(baseline, str(target))
-        assert load_baseline(str(target)) == {
-            "src/mod.py::DET101::return random.random()": 1
-        }
+        out = tmp_path / "report.json"
+        assert main(["--root", str(tmp_path), "--json", str(out)]) == 1
+        report = run_analysis(["src"], str(tmp_path))
+        assert json.loads(out.read_text(encoding="utf-8")) == report.to_dict()
 
     def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == {}
+        # no baseline file is read or written: a run leaves none behind
+        write(tmp_path, "src/mod.py", HAZARD)
+        assert main(["--root", str(tmp_path)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
 
     def test_baselined_finding_not_new(self, tmp_path):
+        # a leftover baseline file crediting the finding accepts nothing
         write(tmp_path, "src/mod.py", HAZARD)
-        report = run_det(["src"], tmp_path)
-        baseline = {f.fingerprint: 1 for f in report.findings}
-        assert new_findings(report, baseline) == []
+        (finding,) = run_det(["src"], tmp_path).findings
+        stale = {
+            "schema": 1,
+            "fingerprints": {
+                f"{finding.path}::{finding.rule}::{finding.text}": 1
+            },
+        }
+        (tmp_path / "determinism-baseline.json").write_text(
+            json.dumps(stale), encoding="utf-8"
+        )
+        assert main(["--root", str(tmp_path), "src"]) == 1
 
     def test_extra_occurrence_is_new(self, tmp_path):
         write(
@@ -175,28 +174,29 @@ class TestBaseline:
             import random
 
             def f():
-                return random.random()
+                return random.random()  # repro: allow[DET101]
 
             def g():
                 return random.random()
             """,
         )
         report = run_det(["src"], tmp_path)
-        assert len(report.findings) == 2
-        # both findings share one fingerprint (same path, rule and text):
-        # a baseline crediting one occurrence leaves the second as new
-        fingerprint = report.findings[0].fingerprint
-        assert report.findings[1].fingerprint == fingerprint
-        fresh = new_findings(report, {fingerprint: 1})
-        assert len(fresh) == 1
+        # same path, rule and text: the pragma covers its own line only
+        assert len(report.findings) == 1
+        assert report.suppressed == 1
+        assert report.findings[0].line == 8
 
     def test_line_shift_does_not_break_baseline(self, tmp_path):
-        write(tmp_path, "src/mod.py", HAZARD)
-        baseline = baseline_of(run_det(["src"], tmp_path))
-        shifted = "# a new comment\n# another\n" + textwrap.dedent(HAZARD)
+        source = HAZARD.replace(
+            "random.random()", "random.random()  # repro: allow[DET101]"
+        )
+        write(tmp_path, "src/mod.py", source)
+        assert run_det(["src"], tmp_path).suppressed == 1
+        shifted = "# a new comment\n# another\n" + textwrap.dedent(source)
         write(tmp_path, "src/mod.py", shifted)
         report = run_det(["src"], tmp_path)
-        assert new_findings(report, baseline["fingerprints"]) == []
+        assert report.findings == []
+        assert report.suppressed == 1
 
 
 class TestRunLint:
@@ -237,19 +237,32 @@ class TestCli:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_update_baseline_then_check_passes(self, tmp_path):
-        write(tmp_path, "src/mod.py", HAZARD)
-        assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
-        assert (tmp_path / "determinism-baseline.json").exists()
+    def test_update_baseline_then_check_passes(self, tmp_path, capsys):
+        """A pragma is the way to accept a finding; a new hazard beside
+        it still fails the run."""
+        write(tmp_path, "src/mod.py", """
+            import random
+
+            def jitter():
+                return random.random()  # repro: allow[DET101]
+            """)
         assert main(["--root", str(tmp_path)]) == 0
-        # a new hazard on top of the baselined one still fails
+        assert "1 suppressed by pragma" in capsys.readouterr().out
+        # a second, unsuppressed hazard fails the run on its own
         write(tmp_path, "src/other.py", HAZARD)
         assert main(["--root", str(tmp_path)]) == 1
 
-    def test_no_baseline_flag_counts_everything(self, tmp_path):
+    def test_no_baseline_flag_counts_everything(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", HAZARD)
-        assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
-        assert main(["--root", str(tmp_path), "--no-baseline"]) == 1
+        write(tmp_path, "src/other.py", HAZARD)
+        assert main(["--root", str(tmp_path)]) == 1
+        assert "FAIL: 2 finding(s)" in capsys.readouterr().err
+        # the retired baseline, cache and autofix options are usage errors
+        for flag in ("--no-baseline", "--update-baseline", "--no-cache",
+                     "--fix"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--root", str(tmp_path), flag])
+            assert exc.value.code == 2
 
     def test_parse_error_fails_check(self, tmp_path):
         write(tmp_path, "src/bad.py", "def broken(:\n")
@@ -265,8 +278,29 @@ class TestCli:
         assert payload["passes"] == ["det", "pickle-safety", "arch", "races"]
         assert payload["summary"]["errors"] == 1
 
+    def test_json_to_stdout_is_pure_json(self, tmp_path, capsys):
+        write(tmp_path, "src/mod.py", HAZARD)
+        assert main(["--root", str(tmp_path), "--json", "-"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["summary"]["errors"] == 1
+        # the human report moves to stderr instead of being dropped
+        assert "DET101" in captured.err
+        assert "FAIL" in captured.err
+
     def test_nothing_to_scan_is_usage_error(self, tmp_path):
         assert main(["--root", str(tmp_path)]) == 2
+
+    def test_missing_path_is_usage_error(self, tmp_path):
+        write(tmp_path, "src/mod.py", "def f():\n    return 1\n")
+        assert main(["--root", str(tmp_path), "src", "srcx"]) == 2
+
+    def test_unknown_pass_is_usage_error(self, tmp_path, capsys):
+        write(tmp_path, "src/mod.py", "def f():\n    return 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--root", str(tmp_path), "--pass", "det,nope"])
+        assert exc.value.code == 2
+        assert "unknown pass 'nope'" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -276,13 +310,15 @@ class TestCli:
             assert rule_id in out
 
 
-@pytest.mark.parametrize("rel", ["src", "tests"])
+@pytest.mark.parametrize("rel", ["src", "tests", "benchmarks"])
 def test_repo_tree_is_hazard_free(rel):
-    """Regression guard: the shipped tree stays clean (the fixes for the
-    hazards the linter found — set-ordered float sums, set-ordered app
+    """The shipped tree passes the gate CI runs: every pass, zero
+    findings of any severity and zero parse errors (the fixes for the
+    hazards the analyzer found — set-ordered float sums, set-ordered app
     registration — must not regress)."""
     import os
 
     root = os.path.join(os.path.dirname(__file__), "..", "..")
-    report = run_det([rel], os.path.abspath(root))
-    assert report.errors == [], [f.render() for f in report.errors]
+    report = run_analysis([rel], os.path.abspath(root))
+    assert report.parse_errors == []
+    assert report.findings == [], [f.render() for f in report.findings]
