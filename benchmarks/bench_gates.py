@@ -1,4 +1,5 @@
-"""Timed gates: throughput floors and overhead ceilings, as pytest tests.
+"""Timed gates: throughput floors and overhead ceilings, as pytest tests,
+and one deterministic count (heap pushes per soaked vehicle).
 
 Run with the rest of the experiment benchmarks::
 
@@ -29,21 +30,24 @@ from typing import Tuple
 
 import pytest
 
+import callcount
 from repro.analysis import KernelSanitizer
 from repro.exec import ExecChaos, ParallelExecutor, get_inline_executor
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.campaign import FaultCampaignSpec, build_chaos_base
 from repro.fleet import (
+    TAG_OLD,
     FleetCampaignSpec,
     FleetSpec,
     build_fleet_snapshots,
     run_fleet,
     run_fleet_campaign,
 )
+from repro.fleet.shard import simulate_vehicle
 from repro.hw import BusSpec, EcuSpec, Topology
 from repro.middleware import Endpoint, Message, MessageType, ServiceRegistry
 from repro.network import VehicleNetwork
-from repro.sim import Simulator
+from repro.sim import EventQueue, Simulator
 
 #: snapshot restores of the chaos base per second (committed floor 170.5)
 FORKS_PER_SEC_FLOOR = 0.9 * 170.5
@@ -60,6 +64,11 @@ RSS_PER_VEHICLE_CEILING = 1024
 SANITIZER_OVERHEAD_CEILING = 0.05
 #: cost of an armed fault injector whose faults never open
 IDLE_INJECTOR_OVERHEAD_CEILING = 0.05
+#: EventQueue pushes per seed-0 ``fleet_soak`` vehicle, arming its
+#: faults included, averaged over SOAK_VEHICLES vehicles.  One
+#: push per kernel event reads ~415; activation trains read ~20
+SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING = 32
+SOAK_VEHICLES = 30
 
 CPUS = os.cpu_count() or 1
 multi_core = pytest.mark.skipif(
@@ -283,3 +292,34 @@ def test_hook_overhead(hook, ceiling):
                          lambda: message_soak(2000, **{hook: True}),
                          ceiling=ceiling, repeats=20, max_batches=5)
     assert overhead < ceiling, f"{hook} overhead {overhead:.2%} >= {ceiling:.0%}"
+
+
+# -- heap traffic of a soaked vehicle ---------------------------------------
+
+
+def soak_heap_pushes_per_vehicle(vehicles: int) -> float:
+    """Mean EventQueue pushes of the first ``vehicles`` vehicles of the
+    seed-0 ``fleet_soak`` fleet, each soaked by the benchmark's own
+    :func:`~repro.fleet.shard.simulate_vehicle` (fork, arm the faults,
+    2 s run) and its pushes counted by the call counter."""
+    spec = callcount.fleet_soak_fleet()
+    snapshots = build_fleet_snapshots(spec, tags=(TAG_OLD,))
+
+    def soak() -> None:
+        for index in range(vehicles):
+            simulate_vehicle(spec, index, TAG_OLD, snapshots)
+
+    _, counts = callcount.count_calls(soak)
+    push = EventQueue.push.__code__
+    return counts.by_site.get(
+        (push.co_filename, push.co_firstlineno, push.co_name), 0) / vehicles
+
+
+def test_soak_heap_pushes_per_vehicle():
+    """A periodic activation that is the next event anyway is dispatched
+    in place, so a soaked vehicle's releases cost no heap traffic; only
+    completions, delayed releases and injector events are pushed."""
+    pushes = soak_heap_pushes_per_vehicle(SOAK_VEHICLES)
+    assert pushes <= SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING, (
+        f"{pushes:.1f} heap pushes per soaked vehicle > ceiling "
+        f"{SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING}")

@@ -23,9 +23,11 @@ This module turns the per-file passes (:mod:`repro.analysis.detectors`,
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -315,11 +317,18 @@ def run_analysis(
     for absolute in _iter_python_files(paths, root):
         rel = _relpath(absolute, root)
         with open(absolute, "rb") as fh:
-            source = fh.read().decode("utf-8")
+            raw = fh.read()
+        report.files_scanned += 1
+        try:
+            # the interpreter's rule: a PEP 263 cookie or BOM, else UTF-8
+            encoding, _ = tokenize.detect_encoding(io.BytesIO(raw).readline)
+            source = raw.decode(encoding)
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            report.parse_errors.append(f"{rel}: cannot decode: {exc}")
+            continue
         info, pragma_by_path[rel] = _analyze_source(
             source, rel, passes, contract, report
         )
-        report.files_scanned += 1
         if info is not None:
             infos.append(info)
 

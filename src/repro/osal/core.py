@@ -515,6 +515,14 @@ class PeriodicSource:
     Optional activation jitter models imperfect timers; the draw comes from
     the simulator-independent RNG stream supplied by the caller so runs stay
     reproducible.
+
+    Each activation is an urgent event.  A dispatched activation goes on
+    to run the source's next ones in place, an *activation train*, for as
+    long as each is exactly the event the kernel would dispatch next
+    (:meth:`Simulator.dispatch_in_place`); it pushes the first one that
+    is not.  That one comparison ends the train at a completion event or
+    a delayed release it pushed itself, at another source's activation
+    and at ``run``'s ``until`` alike.
     """
 
     def __init__(
@@ -549,13 +557,13 @@ class PeriodicSource:
         self.stopped = False
         self._activation_index = 0
         self._epoch = sim.now
-        self._schedule_activation()
+        self._push_activation(self._next_activation())
 
     def stop(self) -> None:
         """Cease releasing new jobs (running/queued jobs are unaffected)."""
         self.stopped = True
 
-    def _schedule_activation(self) -> None:
+    def _next_activation(self) -> float:
         # Activation instants are computed as absolute offsets from the
         # epoch (offset + k * period) — no cumulative float drift — and
         # fire at urgent priority so a job released at instant T is visible
@@ -568,28 +576,35 @@ class PeriodicSource:
             since = self.core.clock_drift_since
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
+        # never in the past, so sim.at's check is moot on the push
+        return max(when, self.sim.now)
+
+    def _push_activation(self, when: float) -> None:
         # nobody keeps the handle (stop() is a flag, not a cancel), so
-        # release it to the event queue's free list once it has fired;
-        # max(when, now) is never in the past, so sim.at's check is moot
-        sim = self.sim
-        sim.queue.push(
-            max(when, sim.now), self._activate, (), PRIORITY_URGENT
-        ).pooled = True
+        # release it to the event queue's free list once it has fired
+        self.sim.queue.push(when, self._activate, (), PRIORITY_URGENT).pooled = True
 
     def _activate(self) -> None:
-        if self.stopped:
-            return
-        if self.horizon is not None and self.sim.now >= self.horizon:
-            return
-        extra = 0.0
-        if self.activation_jitter > 0 and self.jitter_draw is not None:
-            extra = self.activation_jitter * self.jitter_draw()
-        if extra > 0:
-            self.sim.post(extra, self._release_job)
-        else:
-            self._release_job()
-        self._activation_index += 1
-        self._schedule_activation()
+        """Release one job per activation of the train (see the class
+        docstring) and push the activation that ends it."""
+        sim = self.sim
+        while True:
+            if self.stopped:
+                return
+            if self.horizon is not None and sim.now >= self.horizon:
+                return
+            extra = 0.0
+            if self.activation_jitter > 0 and self.jitter_draw is not None:
+                extra = self.activation_jitter * self.jitter_draw()
+            if extra > 0:
+                sim.post(extra, self._release_job)
+            else:
+                self._release_job()
+            self._activation_index += 1
+            when = self._next_activation()
+            if not sim.dispatch_in_place(when, PRIORITY_URGENT):
+                self._push_activation(when)
+                return
 
     def _release_job(self) -> None:
         if self.stopped:

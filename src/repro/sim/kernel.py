@@ -22,6 +22,7 @@ of copying it.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from heapq import heappop
 from time import perf_counter
@@ -313,6 +314,8 @@ class Simulator:
         self._running = False
         #: the call :meth:`run` is dispatching; ``None`` outside ``run()``
         self.dispatching: Optional[ScheduledCall] = None
+        #: the ``until`` of the :meth:`run` in progress (``inf`` for none)
+        self._until = math.inf
         #: objects that may hold an event back from the heap (see
         #: :meth:`add_settler`)
         self._settlers: List[Any] = []
@@ -384,6 +387,46 @@ class Simulator:
         attached.
         """
         self._settlers.append(obj)
+
+    def dispatch_in_place(self, time: float, priority: int) -> bool:
+        """Dispatch the caller's next event in place, if it is next.
+
+        The callback of the call in dispatch asks this instead of pushing
+        its follow-up event at ``(time, priority)``.  The answer is
+        ``True`` only when :meth:`run` is dispatching, no sanitizer is
+        attached, ``time`` is due by ``run``'s ``until`` and the event,
+        with the next sequence number, sorts before the heap head (a
+        cancelled head counts; that is conservative).  The kernel would
+        then pop that very event next, so it performs the dispatch here:
+        it reserves the sequence number, re-keys :attr:`dispatching` to
+        ``(time, priority, seq)`` (so settlers resolve what they hold
+        against the right key), advances the clock and counts one
+        ``sim.events``, and the caller runs the event's work itself.
+        ``False`` leaves everything untouched: push the event as usual.
+
+        The call in dispatch must be a fire-and-forget one (nobody else
+        holds its handle), since its key changes.  :meth:`step` never
+        says yes.  The user in this code base is
+        :class:`~repro.osal.core.PeriodicSource`: a run of its
+        activations dispatched this way is an *activation train*.
+        """
+        call = self.dispatching
+        if call is None or self.sanitizer is not None or time > self._until:
+            return False
+        queue = self.queue
+        heap = queue._heap
+        if heap:
+            head = heap[0]
+            # every heap entry holds a sequence number taken before the
+            # next one, so an equal (time, priority) sorts after the head
+            if time > head[0] or (time == head[0] and priority >= head[1]):
+                return False
+        call.time = time
+        call.priority = priority
+        call.seq = next(queue._counter)  # EventQueue.reserve, inlined
+        self.now = time
+        self.events_counter.inc()
+        return True
 
     def next_session_id(self) -> int:
         """Allocate a sim-local middleware session id."""
@@ -549,6 +592,12 @@ class Simulator:
         before ``run`` returns: in place if they sort before the last
         dispatched event, otherwise pushed and dispatched like any other
         when due by ``until``.  Nothing is held back across calls.
+
+        A callback may also perform its own next event in place
+        (:meth:`dispatch_in_place`) when that event is the one this loop
+        would pop next.  Such events count in ``sim.events`` but not as
+        heap dispatches, so a profiler charges them to the callback that
+        ran them.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -557,6 +606,7 @@ class Simulator:
         heap = queue._heap  # queue mutates this list strictly in place
         pool_append = queue._pool.append  # the free list is never rebound
         m = self.events_counter
+        self._until = math.inf if until is None else until
         try:
             while True:
                 while heap and heap[0][3].cancelled:

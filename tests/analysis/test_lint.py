@@ -216,6 +216,26 @@ class TestRunLint:
         assert "src/bad.py" in report.parse_errors[0]
         assert len(report.findings) == 1
 
+    def test_coding_cookie_decodes_like_the_interpreter(self, tmp_path):
+        """A valid latin-1 file is analysed, not a crash; bytes that fit
+        no declared encoding are a parse error of their file alone."""
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "latin.py").write_bytes(
+            b"# -*- coding: latin-1 -*-\n"
+            b"import random\n"
+            b"NAME = 'caf\xe9'\n"
+            b"def jitter():\n"
+            b"    return random.random()\n")
+        (src / "bogus.py").write_bytes(b"# coding: no-such-codec\nx = 1\n")
+        (src / "broken.py").write_bytes(b"x = 1\ny = '\xff'\n")
+        report = run_det(["src"], tmp_path)
+        assert report.files_scanned == 3
+        assert [(f.path, f.rule) for f in report.findings] == [
+            ("src/latin.py", "DET101")]
+        assert sorted(e.split(":")[0] for e in report.parse_errors) == [
+            "src/bogus.py", "src/broken.py"]
+
     def test_rng_module_exempt_from_det101(self, tmp_path):
         write(tmp_path, "src/repro/sim/rng.py", HAZARD)
         report = run_det(["src"], tmp_path)

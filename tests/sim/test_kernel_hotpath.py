@@ -314,10 +314,10 @@ class TestEventPooling:
         assert queue.pop() is handle
 
     def test_core_soak_keeps_free_list_bounded(self):
-        """Activations released by the OSAL are reused by later pushes,
-        so a long soak neither grows the free list nor keeps building
-        fresh calls.  A job on an idle core costs one pushed event, its
-        activation: its completion is settled in place."""
+        """A long soak neither grows the free list nor keeps building
+        fresh calls.  A job on an idle core costs no pushed event: its
+        activation is dispatched in place by the one before it (an
+        activation train) and its completion is settled in place."""
         sim = Simulator()
         core = Core(sim, "c0", 1.0, FixedPriorityPolicy())
         source = PeriodicSource(
@@ -331,9 +331,10 @@ class TestEventPooling:
         assert stats["pool_creations"] == before["pool_creations"]
         jobs = source.released - released
         assert jobs == round(6.0 / 0.005)
-        # one pooled push per job, plus the completion of the job still
-        # running at 8.0, which run() pushes before it returns
-        assert stats["pool_reuses"] - before["pool_reuses"] == jobs + 1
+        # the activation past 8.0 that ends the run's one train, plus
+        # the completion of the job still running at 8.0, which run()
+        # pushes before it returns
+        assert stats["pool_reuses"] - before["pool_reuses"] == 2
 
 
 class TestHandleAfterDispatch:
