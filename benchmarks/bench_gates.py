@@ -193,12 +193,8 @@ def test_rss_growth_over_a_100x_fleet():
 def recovery_pool(chaos=None) -> ParallelExecutor:
     # one shard per dispatch on both pools, so they compare like for like
     # and the kill/EOF schedule, which counts dispatches, fires
-    return ParallelExecutor(
-        workers=2, master_seed=0, chunk_size=1,
-        heartbeat_period=0.1 if chaos is not None else 0.0,
-        heartbeat_timeout=10.0 if chaos is not None else None,
-        max_redispatches=8, shutdown_grace=1.0, chaos=chaos,
-    )
+    return ParallelExecutor(workers=2, master_seed=0, chunk_size=1,
+                            retries=8, chaos=chaos)
 
 
 @multi_core

@@ -13,9 +13,8 @@ batches through :func:`~repro.dse.problem.evaluate_genomes`.  Because
 genomes are generated before any batch is scored and scoring is pure,
 the search trajectory is byte-identical with and without an executor.
 
-Pass one **warm** executor (``executor.warm_up()``, or
-:func:`~repro.exec.pool.warm_executor`) and reuse it across engines and
-generations: workers import :mod:`repro` once, the mapping problem ships
+Pass one **warm** executor (``executor.warm_up()``) and reuse it
+across engines and generations: workers import :mod:`repro` once, the mapping problem ships
 to each worker once as shared context, and every subsequent batch pays
 only per-genome dispatch.  Building a fresh pool per search re-pays the
 spawn/import tax the warm pool exists to amortize.

@@ -11,11 +11,13 @@ worker processes without ever changing results:
   ``cost_hint`` to prime the chunk cost model);
 * :class:`ParallelExecutor` — a persistent warm worker pool with
   cost-model chunking, overlapped dispatch/collection, per-job seed
-  derivation, per-chunk deadlines with surgical single-worker rebuild,
-  bounded retry, and merged :mod:`repro.obs` batch reports;
-* :func:`warm_executor` / :func:`get_inline_executor` — process-wide
-  shared executors so call sites reuse one warm pool across campaigns
-  instead of paying spawn/import per call;
+  derivation, one supervision rule (a worker whose pipe hits EOF or
+  whose heartbeat stops is killed, respawned and its chunk re-queued),
+  one attempt budget per job, and merged :mod:`repro.obs` batch
+  reports; build one, :meth:`~ParallelExecutor.warm_up` it and pass it
+  to every campaign so they share one warm pool;
+* :func:`get_inline_executor` — the process-wide ``workers=1``
+  executor that serial fallback paths share;
 * :func:`derive_job_seed` — the seed contract that makes parallel runs
   byte-identical to serial ones;
 * :mod:`repro.exec.recovery` — the campaign spine every campaign runs
@@ -40,7 +42,6 @@ from .pool import (
     PoolSupervisor,
     get_inline_executor,
     plan_shards,
-    warm_executor,
 )
 from .recovery import (
     CheckpointCrash,
@@ -73,5 +74,4 @@ __all__ = [
     "plan_shards",
     "resume_campaign",
     "run_jobs_checkpointed",
-    "warm_executor",
 ]

@@ -14,7 +14,7 @@ Architecture (why parallel wins):
 * **Cost-model chunking** — with ``chunk_size=None`` the executor sizes
   chunks from measured per-job runtime (an EMA over every completed job,
   seeded by the optional ``SimJob.cost_hint``): each chunk targets
-  ``target_chunk_seconds`` of work so one IPC round-trip is amortised
+  ``_TARGET_CHUNK_SECONDS`` of work so one IPC round-trip is amortised
   over many short sims, while a fair-share cap keeps every worker busy.
   Until the first measurement arrives, single-job probe chunks run.
 * **Overlapped dispatch/collection** — the parent tops up every idle
@@ -22,30 +22,28 @@ Architecture (why parallel wins):
   overlaps execution of chunk *k*; workers reply with one pre-pickled
   bytes blob per chunk (compact tuples + metric digests, no rich result
   objects cross the pipe).
-* **Surgical failure recovery** — a chunk that exceeds its deadline
-  (``job_timeout * len(chunk) + grace``) fails only its own jobs;
-  **only that worker** is killed and respawned, the rest of the warm
-  pool keeps serving.  Failed jobs retry (same seed) on healthy workers
-  up to ``retries`` times.
-* **Worker supervision** — workers heartbeat over their duplex pipe
-  while a chunk is executing, so the parent distinguishes a *slow* job
-  (still beating) from a *hung or dead* worker (beats stopped, or pipe
-  EOF).  A hung worker is escalated SIGTERM → SIGKILL under a bounded
-  grace budget and surgically rebuilt, and its in-flight chunk is
-  **re-dispatched** to a healthy worker — safe because per-job seeds
-  derive from ``(master_seed, job_id)`` alone, a retried job replays
-  the identical draws, and a result is recorded at most once, so
-  redispatch can neither diverge nor double-count.  Supervision health
-  is published through :mod:`repro.obs` as
+* **One supervision rule** — a worker beats over its duplex pipe from
+  the moment it receives a chunk until its reply is sent.  A busy
+  worker is *lost* when its pipe hits EOF (on send or on receive) or
+  when it has not beaten for ``_HEARTBEAT_TIMEOUT`` seconds (hung:
+  SIGSTOPped, deadlocked, livelocked in C code); a slow job still
+  beats, because the beats come from a thread, not from job code.  A
+  lost worker is killed (SIGTERM, then SIGKILL), respawned into its
+  slot, and its chunk re-queued at the front of the batch — safe
+  because per-job seeds derive from ``(master_seed, job_id)`` alone, a
+  re-run replays the identical draws, and a result is recorded at most
+  once.  Supervision health is published through :mod:`repro.obs` as
   ``pool.supervisor.{restarts,hangs,redispatches,escalations}``.
 
 Guarantees:
 
 * **Determinism** — each job's RNG seed is derived from the master seed
   and the job id only, so results are byte-identical to serial execution
-  for any worker count, chunking, cost-model state, or completion order.
-* **Bounded failure handling** — a job that raises is retried up to
-  ``retries`` times (the retry replays the same seed).
+  for any worker count, chunking, cost-model state, completion order or
+  recovery.
+* **One attempt budget** — a job that raises and a job whose worker was
+  lost each spend one attempt; a job gets ``retries + 1`` attempts and
+  then fails with its last cause.
 * **Merged observability** — each job runs against a fresh
   :class:`~repro.obs.metrics.MetricsRegistry`; per-job digests are folded
   into one :mod:`repro.obs` batch report.
@@ -58,7 +56,6 @@ for any fan-out to pay for its IPC.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import pickle
@@ -81,26 +78,30 @@ _START_METHODS = ("fork", "forkserver", "spawn")
 
 #: EMA weight for new per-job runtime observations
 _COST_ALPHA = 0.2
+#: desired wall-clock seconds of one chunk under cost-model chunking
+_TARGET_CHUNK_SECONDS = 0.05
+
+#: seconds between beats of a busy worker
+_HEARTBEAT_PERIOD = 0.5
+#: a busy worker silent this long is hung; must exceed the period by
+#: many beats so a loaded host never reads a slow beat as a hang
+_HEARTBEAT_TIMEOUT = 10.0
+#: seconds each teardown step (stop frame, SIGTERM) waits before the
+#: next one; SIGKILL ends the escalation
+_SHUTDOWN_GRACE = 2.0
 
 #: control frames on the worker pipe (never valid pickles)
 _STOP = b"\x00stop"
 _PING = b"\x00ping"
 _PONG = b"\x00pong"
-#: heartbeat frame a busy worker emits every ``heartbeat_period`` seconds
+#: heartbeat frame a busy worker emits every ``_HEARTBEAT_PERIOD`` seconds
 _BEAT = b"\x00beat"
 #: chaos frame: the worker exits without replying (clean pipe EOF)
 _DIE = b"\x00die"
 
 
-def _pick_start_method(requested: Optional[str]) -> str:
+def _pick_start_method() -> str:
     available = multiprocessing.get_all_start_methods()
-    if requested is not None:
-        if requested not in available:
-            raise ExecutionError(
-                f"start_method {requested!r} not available on this platform "
-                f"(available: {available})"
-            )
-        return requested
     for method in _START_METHODS:
         if method in available:
             return method
@@ -139,9 +140,9 @@ def _run_chunk(payload: Sequence[_Payload],
 
 
 def _heartbeat_loop(conn, send_lock, busy, stopped, period: float) -> None:
-    """Worker-side supervision thread: beat while a chunk is executing.
+    """Worker-side supervision thread: beat while a chunk is in hand.
 
-    Beats are only emitted while the main loop is inside a chunk, so an
+    Beats are only emitted while the main loop holds a chunk, so an
     idle worker writes nothing (the pipe buffer of a long-idle pool can
     never fill with stale beats) and the parent can read a missing beat
     on a *busy* worker as "this process is hung or gone", not merely
@@ -160,34 +161,57 @@ def _heartbeat_loop(conn, send_lock, busy, stopped, period: float) -> None:
                 return
 
 
-def _worker_main(conn, heartbeat_period: float = 0.0) -> None:
+def _serve(blob: bytes, cache: list) -> bytes:
+    """Run one chunk frame; return the pickled reply.
+
+    ``cache`` is the worker's ``[token, shared object]`` of the last
+    shared context it received, reused across chunks and batches.
+    """
+    token, ctx_blob, payload = pickle.loads(blob)
+    shared = None
+    if token is not None:
+        if token != cache[0] and ctx_blob is not None:
+            cache[:] = [token, pickle.loads(ctx_blob)]
+        if token != cache[0]:  # pragma: no cover - parent/worker desync
+            return _failed_reply(
+                payload, f"shared context token {token} unknown to worker")
+        shared = cache[1]
+    out = _run_chunk(payload, shared)
+    try:
+        return pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 - unpicklable job value
+        return _failed_reply(payload, f"job value not picklable: {exc!r}")
+
+
+def _failed_reply(payload: Sequence[_Payload], error: str) -> bytes:
+    out = [(index, False, error, None, os.getpid(), 0.0)
+           for (index, _job, _seed, _attempt) in payload]
+    return pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+
+
+def _worker_main(conn, period: float) -> None:
     """Long-lived worker loop: recv a pickled chunk, reply with bytes.
 
     The worker imports :mod:`repro` once (a no-op under ``fork``, the
     real warm-up under ``spawn``/``forkserver``) and then serves chunks
     until it receives the stop frame or its pipe closes.  Replies travel
     as one pre-pickled blob per chunk — compact tuples, not rich result
-    objects.  With ``heartbeat_period > 0`` a daemon thread beats on the
-    pipe while a chunk executes (see :func:`_heartbeat_loop`).
+    objects.  A daemon thread beats on the pipe from the moment a chunk
+    frame arrives until its reply is sent (see :func:`_heartbeat_loop`),
+    so unpickling the shared context and pickling the result are never
+    read as silence.
     """
     import repro  # noqa: F401 - warm the module cache once per worker
 
     send_lock = threading.Lock()
     busy = threading.Event()
     stopped = threading.Event()
-    if heartbeat_period > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(conn, send_lock, busy, stopped, heartbeat_period),
-            daemon=True,
-        ).start()
-
-    def send(blob: bytes) -> None:
-        with send_lock:
-            conn.send_bytes(blob)
-
-    shared_token: Optional[int] = None
-    shared_obj: Any = None
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(conn, send_lock, busy, stopped, period),
+        daemon=True,
+    ).start()
+    cache: list = [None, None]
     while True:
         try:
             blob = conn.recv_bytes()
@@ -198,41 +222,18 @@ def _worker_main(conn, heartbeat_period: float = 0.0) -> None:
         if blob == _DIE:
             os._exit(3)  # chaos: vanish without a reply (pipe EOF)
         if blob == _PING:
-            send(_PONG)
-            continue
-        token, ctx_blob, payload = pickle.loads(blob)
-        if token is None:
-            shared = None
-        elif token == shared_token:
-            shared = shared_obj  # context cached from an earlier chunk
-        elif ctx_blob is not None:
-            shared_obj = pickle.loads(ctx_blob)
-            shared_token = token
-            shared = shared_obj
-        else:  # pragma: no cover - parent/worker token desync
-            out = [(index, False,
-                    f"shared context token {token} unknown to worker",
-                    None, os.getpid(), 0.0)
-                   for (index, _job, _seed, _attempt) in payload]
-            send(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+            with send_lock:
+                conn.send_bytes(_PONG)
             continue
         busy.set()
-        try:
-            out = _run_chunk(payload, shared)
-        finally:
+        reply = _serve(blob, cache)
+        with send_lock:
+            # cleared under the lock, so no beat can follow the reply
             busy.clear()
-        try:
-            reply = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001 - unpicklable job value
-            out = [(index, False,
-                    f"job value not picklable: {exc!r}", None,
-                    os.getpid(), 0.0)
-                   for (index, _job, _seed, _attempt) in payload]
-            reply = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        try:
-            send(reply)
-        except (BrokenPipeError, OSError):
-            break
+            try:
+                conn.send_bytes(reply)
+            except (BrokenPipeError, OSError):
+                break
     stopped.set()
     try:
         conn.close()
@@ -243,24 +244,25 @@ def _worker_main(conn, heartbeat_period: float = 0.0) -> None:
 class PoolSupervisor:
     """Health counters for the warm pool, published via :mod:`repro.obs`.
 
-    The supervisor state machine is: ``HEALTHY`` → (missed heartbeat
-    budget) → ``HUNG`` → SIGTERM → (grace expired) → SIGKILL →
-    ``REBUILT`` — and every transition increments one of these counters,
-    so a campaign can report how much surgery its substrate needed.
+    The supervisor state machine is: ``BUSY`` → (pipe EOF, or no beat
+    for ``_HEARTBEAT_TIMEOUT``) → ``LOST`` → SIGTERM → (grace expired)
+    → SIGKILL → ``RESPAWNED`` — and every transition increments one of
+    these counters, so a campaign can report how much surgery its
+    substrate needed.
     """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        #: workers surgically rebuilt (any cause: death, hang, poison)
+        #: workers respawned (any cause: death, hang, death between runs)
         self.restarts = self.metrics.counter("pool.supervisor.restarts")
         #: busy workers whose heartbeats stopped (hung, not merely slow)
         self.hangs = self.metrics.counter("pool.supervisor.hangs")
-        #: jobs re-dispatched to a healthy worker after their worker
-        #: died or hung mid-chunk (idempotent: same seed, recorded once)
+        #: jobs re-queued after their worker was lost mid-chunk
+        #: (idempotent: same seed, recorded once)
         self.redispatches = self.metrics.counter(
             "pool.supervisor.redispatches"
         )
-        #: teardowns that had to escalate SIGTERM -> SIGKILL
+        #: kills that had to escalate SIGTERM -> SIGKILL
         self.escalations = self.metrics.counter(
             "pool.supervisor.escalations"
         )
@@ -273,21 +275,20 @@ class PoolSupervisor:
 class _WorkerHandle:
     """One persistent worker process plus its duplex pipe."""
 
-    __slots__ = ("proc", "conn", "chunk", "deadline", "ctx_token",
-                 "last_beat")
+    __slots__ = ("proc", "conn", "chunk", "ctx_token", "last_beat")
 
-    def __init__(self, ctx, heartbeat_period: float = 0.0) -> None:
+    def __init__(self, ctx) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        # the period is read here, in the parent, so a worker beats at
+        # the parent's value under every start method
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child_conn, heartbeat_period),
+                                args=(child_conn, _HEARTBEAT_PERIOD),
                                 daemon=True)
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn
         #: payload list currently in flight on this worker (None = idle)
         self.chunk: Optional[List[_Payload]] = None
-        #: absolute perf_counter deadline for the in-flight chunk
-        self.deadline: Optional[float] = None
         #: token of the shared context this worker has cached
         self.ctx_token: Optional[int] = None
         #: perf_counter instant of the last heartbeat (or dispatch)
@@ -333,21 +334,9 @@ class _WorkerHandle:
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def stop(self, grace: float = 2.0) -> bool:
-        """Ask the worker to exit and reap it within a bounded budget.
-
-        Escalates stop-frame → SIGTERM → SIGKILL, waiting ``grace``
-        seconds between steps, so a worker that ignores both the frame
-        and SIGTERM can stall teardown for at most ``~2 * grace``
-        seconds before being killed outright.  Returns True if the
-        SIGKILL escalation was needed.
-        """
-        self.request_stop()
-        self.proc.join(timeout=grace)
-        return self.kill(grace)
-
-    def kill(self, grace: float = 2.0) -> bool:
-        """Hard-stop the worker: SIGTERM, then SIGKILL after ``grace``.
+    def kill(self) -> bool:
+        """Hard-stop the worker: SIGTERM, then SIGKILL after
+        ``_SHUTDOWN_GRACE`` seconds.
 
         Returns True if the worker ignored SIGTERM and had to be
         SIGKILLed (the escalation the supervisor counts).  SIGKILL
@@ -357,7 +346,7 @@ class _WorkerHandle:
         escalated = False
         if self.proc.is_alive():
             self.proc.terminate()
-            self.proc.join(timeout=grace)
+            self.proc.join(timeout=_SHUTDOWN_GRACE)
         if self.proc.is_alive():
             self.proc.kill()
             escalated = True
@@ -381,35 +370,14 @@ class ParallelExecutor:
             serial reference path).  Defaults to the machine's CPU count.
         master_seed: root of all per-job seed derivation (a per-run
             override can be passed to :meth:`run_jobs`).
-        retries: extra attempts granted to a failed job (same seed).
-        job_timeout: wall-clock budget **per job** in seconds; a chunk's
-            deadline is ``job_timeout * len(chunk) + grace``.  ``None``
-            waits forever.
-        grace: fixed slack in seconds added to every chunk deadline to
-            absorb dispatch/unpickle latency (default ``1.0``).
+        retries: extra attempts granted to a job (same seed).  A job
+            that raises and a job whose worker was lost mid-chunk each
+            spend one; past the budget the job fails with its last
+            cause, so a poison pill cannot kill workers forever.
         chunk_size: fixed jobs per worker submission; ``None`` (default)
-            enables cost-model chunking (see ``target_chunk_seconds``).
-        target_chunk_seconds: desired wall-clock duration of one chunk
-            under cost-model chunking; chunks are sized to
-            ``target_chunk_seconds / estimated_job_seconds``, capped to
-            a fair share of the remaining jobs so workers never starve.
-        start_method: multiprocessing start method; defaults to the
-            first available of ``fork``, ``forkserver``, ``spawn``.
-        heartbeat_period: seconds between worker heartbeats while a
-            chunk is executing (``0`` disables the beat thread).
-        heartbeat_timeout: if set, a busy worker that has not beaten
-            for this many seconds is declared **hung** — killed with
-            SIGTERM→SIGKILL escalation, rebuilt, and its in-flight
-            chunk re-dispatched to a healthy worker.  Must exceed
-            ``heartbeat_period``.  ``None`` (default) disables hung
-            detection (the per-chunk deadline still applies).
-        max_redispatches: how many times one job may be re-dispatched
-            after its worker died or hung mid-chunk before the job is
-            failed outright (a poison-pill backstop).
-        shutdown_grace: per-escalation-step teardown budget in seconds;
-            :meth:`close` escalates stop-frame → SIGTERM → SIGKILL so a
-            SIGTERM-ignoring worker can stall interpreter shutdown for
-            at most ``~2 * shutdown_grace`` seconds.
+            sizes chunks from measured job runtime, each targeting
+            ``_TARGET_CHUNK_SECONDS`` of work, capped to a fair share of
+            the remaining jobs so workers never starve.
         chaos: optional chaos harness (see
             :class:`repro.exec.recovery.ExecChaos`) whose
             ``on_dispatch(handle, executor)`` hook fires after every
@@ -423,64 +391,20 @@ class ParallelExecutor:
         *,
         master_seed: int = 0,
         retries: int = 1,
-        job_timeout: Optional[float] = None,
-        grace: float = 1.0,
         chunk_size: Optional[int] = None,
-        target_chunk_seconds: float = 0.05,
-        start_method: Optional[str] = None,
-        heartbeat_period: float = 0.5,
-        heartbeat_timeout: Optional[float] = None,
-        max_redispatches: int = 2,
-        shutdown_grace: float = 2.0,
         chaos: Any = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
         if retries < 0:
             raise ExecutionError(f"retries must be >= 0, got {retries}")
-        if grace < 0:
-            raise ExecutionError(f"grace must be >= 0, got {grace}")
         if chunk_size is not None and chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
-        if target_chunk_seconds <= 0:
-            raise ExecutionError(
-                f"target_chunk_seconds must be > 0, got {target_chunk_seconds}"
-            )
-        if heartbeat_period < 0:
-            raise ExecutionError(
-                f"heartbeat_period must be >= 0, got {heartbeat_period}"
-            )
-        if heartbeat_timeout is not None:
-            if heartbeat_period <= 0:
-                raise ExecutionError(
-                    "heartbeat_timeout requires heartbeat_period > 0 "
-                    "(workers must beat for the parent to miss beats)"
-                )
-            if heartbeat_timeout <= heartbeat_period:
-                raise ExecutionError(
-                    f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                    f"heartbeat_period ({heartbeat_period})"
-                )
-        if max_redispatches < 0:
-            raise ExecutionError(
-                f"max_redispatches must be >= 0, got {max_redispatches}"
-            )
-        if shutdown_grace < 0:
-            raise ExecutionError(
-                f"shutdown_grace must be >= 0, got {shutdown_grace}"
-            )
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.master_seed = master_seed
         self.retries = retries
-        self.job_timeout = job_timeout
-        self.grace = grace
         self.chunk_size = chunk_size
-        self.target_chunk_seconds = target_chunk_seconds
-        self.start_method = _pick_start_method(start_method)
-        self.heartbeat_period = heartbeat_period
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_redispatches = max_redispatches
-        self.shutdown_grace = shutdown_grace
+        self.start_method = _pick_start_method()
         self.chaos = chaos
         self.supervisor = PoolSupervisor()
         self._ctx = None
@@ -514,31 +438,27 @@ class ParallelExecutor:
                     f"worker pid={handle.proc.pid} failed its warm-up ping"
                 )
 
-    def close(self, grace: Optional[float] = None) -> None:
+    def close(self) -> None:
         """Shut the worker pool down (idempotent, bounded).
 
         Teardown escalates pool-wide: every worker gets the stop frame
-        at once, then the whole pool shares one ``grace`` join window,
-        then stragglers get SIGTERM and one more shared window, then
-        SIGKILL.  Total wall time is bounded by ``~2 * grace`` no matter
-        how many workers ignore SIGTERM — a single sleep-forever worker
-        can no longer stall interpreter exit (this runs from an atexit
-        hook for shared pools).  Each SIGKILL escalation is counted in
-        ``supervisor.escalations``.
+        at once, then the whole pool shares one ``_SHUTDOWN_GRACE`` join
+        window, then stragglers get SIGTERM and one more shared window,
+        then SIGKILL.  Total wall time is bounded by ``~2 *
+        _SHUTDOWN_GRACE`` no matter how many workers ignore SIGTERM.
+        Each SIGKILL escalation is counted in ``supervisor.escalations``.
         """
         handles, self._handles = self._handles, []
         if not handles:
             return
-        if grace is None:
-            grace = self.shutdown_grace
         for handle in handles:
             handle.request_stop()
-        deadline = perf_counter() + grace
+        deadline = perf_counter() + _SHUTDOWN_GRACE
         stragglers = [h for h in handles if not h.join_until(deadline)]
         for handle in stragglers:
             if handle.proc.is_alive():
                 handle.proc.terminate()
-        deadline = perf_counter() + grace
+        deadline = perf_counter() + _SHUTDOWN_GRACE
         for handle in stragglers:
             if not handle.join_until(deadline) and handle.proc.is_alive():
                 handle.proc.kill()
@@ -551,7 +471,7 @@ class ParallelExecutor:
         """Hard-drop every worker (hung, poisoned, or unknown state)."""
         handles, self._handles = self._handles, []
         for handle in handles:
-            if handle.kill(self.shutdown_grace):
+            if handle.kill():
                 self.supervisor.escalations.inc()
 
     def _context(self):
@@ -562,34 +482,23 @@ class ParallelExecutor:
     def _ensure_workers(self) -> List[_WorkerHandle]:
         """Top the pool up to ``workers`` live processes.
 
-        Dead handles (worker crashed between runs, or killed after a
-        poisoned chunk) are replaced individually — the warm survivors
-        are never torn down.
+        A worker that died between runs is respawned into its slot — the
+        warm survivors are never torn down.
         """
-        ctx = self._context()
-        kept = []
-        for handle in self._handles:
-            if handle.alive:
-                kept.append(handle)
-            else:
-                handle.kill(self.shutdown_grace)
-        while len(kept) < self.workers:
-            kept.append(_WorkerHandle(ctx, self.heartbeat_period))
-        self._handles = kept
+        for handle in list(self._handles):
+            if not handle.alive:
+                self._respawn(handle)
+        while len(self._handles) < self.workers:
+            self._handles.append(_WorkerHandle(self._context()))
         return self._handles
 
-    def _replace_worker(self, handle: _WorkerHandle) -> _WorkerHandle:
-        """Kill one poisoned worker and swap a fresh one into its slot."""
-        if handle.kill(self.shutdown_grace):
+    def _respawn(self, handle: _WorkerHandle) -> _WorkerHandle:
+        """Kill one worker and start a fresh one in its slot."""
+        if handle.kill():
             self.supervisor.escalations.inc()
         self.supervisor.restarts.inc()
-        fresh = _WorkerHandle(self._context(), self.heartbeat_period)
-        for i, existing in enumerate(self._handles):
-            if existing is handle:
-                self._handles[i] = fresh
-                break
-        else:  # pragma: no cover - handle always registered
-            self._handles.append(fresh)
+        fresh = _WorkerHandle(self._context())
+        self._handles[self._handles.index(handle)] = fresh
         return fresh
 
     # -- execution -------------------------------------------------------
@@ -621,6 +530,10 @@ class ParallelExecutor:
 
         Failed jobs (after retries) appear as :class:`JobResult` entries
         with ``error`` set — the caller decides whether that is fatal.
+        ``report.retried`` counts the re-runs of jobs that raised; a
+        re-run after a lost worker is counted only in
+        ``supervisor.redispatches``, so recovery never moves a merged
+        digest.
 
         ``master_seed`` overrides the executor's configured seed for
         this batch only, so one warm pool can serve many differently
@@ -658,47 +571,25 @@ class ParallelExecutor:
         if not jobs:
             return report
         seed_root = self.master_seed if master_seed is None else master_seed
-        pending: List[_Payload] = [
+        payloads: List[_Payload] = [
             (i, job, derive_job_seed(seed_root, job.job_id), 0)
             for i, job in enumerate(jobs)
         ]
+        #: 0-based attempt number of each job's latest run
+        attempts = [0] * len(jobs)
         results: Dict[int, JobResult] = {}
-        try:
-            for round_no in range(self.retries + 1):
-                failed = self._run_round(pending, results, context,
-                                         on_result)
-                if not failed or round_no == self.retries:
-                    break
-                report.retried += len(failed)
-                # completion order is timing-dependent; re-sort so retry
-                # rounds dispatch deterministically
-                pending = sorted(
-                    ((i, job, seed, attempt + 1)
-                     for (i, job, seed, attempt) in failed),
-                    key=lambda p: p[0],
-                )
-        except BaseException:
-            # error escaping mid-batch (dispatch bug, KeyboardInterrupt):
-            # workers may hold half-submitted chunks — drop them all so
-            # no orphan processes outlive the failed call; the next run
-            # rebuilds transparently
-            self._discard_workers()
-            raise
-        report.results = [results[i] for i in range(len(jobs))]
-        report.failed = sum(1 for r in report.results if not r.ok)
-        return report
 
-    def _run_round(
-        self, payloads: List[_Payload], results: Dict[int, JobResult],
-        context: Any = None, on_result: Any = None,
-    ) -> List[_Payload]:
-        """Run one attempt round; record outcomes; return failed payloads."""
-        by_index = {p[0]: p for p in payloads}
-        failed: List[_Payload] = []
-
-        def record(raw: tuple) -> None:
+        def record(raw: tuple, lost: bool = False) -> Optional[_Payload]:
+            """Settle one attempt; return the job's next payload if it
+            failed with budget left, else record its result."""
             index, ok, value, digest, pid, elapsed = raw
-            _, job, seed, attempt = by_index[index]
+            _, job, seed, _ = payloads[index]
+            attempt = attempts[index]
+            if not ok and attempt < self.retries:
+                attempts[index] = attempt + 1
+                if not lost:
+                    report.retried += 1
+                return (index, job, seed, attempt + 1)
             result = JobResult(
                 index=index, job_id=job.job_id, seed=seed,
                 attempts=attempt + 1, worker_pid=pid, elapsed=elapsed,
@@ -708,178 +599,149 @@ class ParallelExecutor:
                 result.digest = digest
             else:
                 result.error = value
-                failed.append(by_index[index])
             results[index] = result
             if ok and on_result is not None:
                 on_result(result)
+            return None
 
         if self.workers == 1:
-            for raw in _run_chunk(payloads, context):
-                record(raw)
-            return failed
+            pending = payloads
+            while pending:
+                pending = [p for p in map(record, _run_chunk(pending, context))
+                           if p is not None]
+        else:
+            token, ctx_blob = self._context_frame(context)
+            self._seed_cost_model(payloads)
+            pending = deque(payloads)
+            idle: deque = deque()
+            busy: Dict[Any, _WorkerHandle] = {}
+            #: replies received but not yet recorded (see below)
+            completed: List[tuple] = []
 
-        token, ctx_blob = self._context_frame(context)
-        self._seed_cost_model(payloads)
-        pending = deque(payloads)
-        idle = deque(self._ensure_workers())
-        busy: Dict[Any, _WorkerHandle] = {}
-        #: per-job redispatch count this round (worker death/hang only)
-        redispatched: Dict[int, int] = {}
+            def requeue(payload: Optional[_Payload]) -> None:
+                if payload is not None:
+                    pending.appendleft(payload)
 
-        def fail_chunk(handle: _WorkerHandle, reason: str) -> None:
-            pid = handle.proc.pid or 0
-            for p in handle.chunk or ():
-                record((p[0], False, reason, None, pid, 0.0))
-            idle.append(self._replace_worker(handle))
+            def lose(handle: _WorkerHandle, reason: str,
+                     hang: bool = False) -> None:
+                """Kill a lost worker, respawn its slot and re-queue its
+                chunk at the front of ``pending``.
 
-        def requeue(handle: _WorkerHandle, reason: str, *,
-                    hang: bool = False) -> None:
-            """Rebuild a dead/hung worker; re-dispatch its chunk.
+                Every job of the chunk spends one attempt: the parent
+                cannot tell which of them took the worker down, and the
+                budget is what stops a poison pill from killing workers
+                forever.
+                """
+                if hang:
+                    self.supervisor.hangs.inc()
+                pid = handle.proc.pid or 0
+                idle.append(self._respawn(handle))
+                for p in reversed(handle.chunk):
+                    retry = record((p[0], False, reason, None, pid, 0.0),
+                                   lost=True)
+                    if retry is not None:
+                        requeue(retry)
+                        self.supervisor.redispatches.inc()
 
-            Re-dispatch is idempotent: each payload carries its derived
-            seed, so the retried job replays identical draws, and
-            ``record`` runs at most once per (index, round).  A
-            per-round budget of ``max_redispatches`` per job stops a
-            poison-pill chunk from killing workers forever — past the
-            budget its jobs fail with the last ``reason``.
-            """
-            if hang:
-                self.supervisor.hangs.inc()
-            chunk = handle.chunk or []
-            pid = handle.proc.pid or 0
-            idle.append(self._replace_worker(handle))
-            retriable = []
-            for p in chunk:
-                count = redispatched.get(p[0], 0)
-                if count < self.max_redispatches:
-                    redispatched[p[0]] = count + 1
-                    retriable.append(p)
-                else:
-                    record((p[0], False,
-                            f"{reason} (gave up after {count} redispatches)",
-                            None, pid, 0.0))
-            if retriable:
-                pending.extendleft(reversed(retriable))
-                self.supervisor.redispatches.inc(len(retriable))
-
-        #: replies received but not yet recorded (see below)
-        completed: List[tuple] = []
-        while True:
-            # dispatch first: every idle worker gets its next chunk
-            # before we block collecting, overlapping submission with
-            # execution and drain
-            while pending and idle:
-                handle = idle.popleft()
-                chunk = self._carve(pending)
-                # ship the shared context only to workers that don't
-                # already cache this batch's token
-                ship_ctx = (token is not None
-                            and handle.ctx_token != token)
-                frame = (token, ctx_blob if ship_ctx else None, chunk)
-                try:
-                    blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-                    handle.conn.send_bytes(blob)
-                except (BrokenPipeError, OSError):
-                    # pipe died between runs: replace the worker and
-                    # put the chunk back for the next idle one
-                    pending.extendleft(reversed(chunk))
-                    idle.append(self._replace_worker(handle))
-                    continue
-                except Exception as exc:  # noqa: BLE001 - unpicklable job
-                    for p in chunk:
-                        record((p[0], False,
-                                f"job not picklable: {exc!r}", None, 0, 0.0))
-                    idle.append(handle)
-                    continue
-                if ship_ctx:
-                    handle.ctx_token = token
-                handle.chunk = chunk
-                handle.last_beat = perf_counter()
-                if self.job_timeout is not None:
-                    handle.deadline = (perf_counter()
-                                       + self.job_timeout * len(chunk)
-                                       + self.grace)
-                busy[handle.conn] = handle
-                if self.chaos is not None:
-                    self.chaos.on_dispatch(handle, self)
-            # result hooks (``on_result`` may fsync a checkpoint record)
-            # run only now, while the workers that returned them are
-            # already busy on their next chunks
-            for raw in completed:
-                record(raw)
-            completed.clear()
-            if not busy:
-                break  # nothing in flight and nothing dispatchable
-            deadlines = [h.deadline for h in busy.values()
-                         if h.deadline is not None]
-            if self.heartbeat_timeout is not None:
-                deadlines += [h.last_beat + self.heartbeat_timeout
-                              for h in busy.values()]
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines) - perf_counter())
-            ready = _mp_connection.wait(list(busy), timeout)
-            for conn in ready:
-                handle = busy[conn]
-                try:
-                    blob = handle.conn.recv_bytes()
-                except (EOFError, OSError) as exc:
-                    del busy[conn]
-                    requeue(handle, f"worker died mid-chunk: {exc!r}")
-                    continue
-                if blob == _BEAT:
-                    # still executing — refresh liveness, stay busy
-                    handle.last_beat = perf_counter()
-                    continue
-                del busy[conn]
-                raws = pickle.loads(blob)
-                # fold the cost model now: the next chunk's size depends
-                # on it, and records must not delay that dispatch
-                for raw in raws:
-                    self._observe_cost(raw)
-                completed.extend(raws)
-                handle.chunk = None
-                handle.deadline = None
-                idle.append(handle)
-            # deadline sweep — a hung worker only poisons its own slot.
-            # Deadline overrun keeps fail semantics (the job *ran* too
-            # long); only death/missed-heartbeat paths re-dispatch.
-            now = perf_counter()
-            for conn in [c for c, h in busy.items()
-                         if h.deadline is not None and h.deadline <= now]:
-                handle = busy.pop(conn)
-                n = len(handle.chunk or ())
-                budget = (self.job_timeout or 0.0) * n + self.grace
-                fail_chunk(
-                    handle,
-                    f"TimeoutError: chunk of {n} jobs exceeded its "
-                    f"{budget:.3f}s deadline "
-                    f"(job_timeout={self.job_timeout}, grace={self.grace})",
-                )
-            # heartbeat sweep — a busy worker whose beats stopped is
-            # hung (SIGSTOPped, deadlocked, or livelocked in C code):
-            # a merely slow job would still beat, because beats come
-            # from the worker's supervision thread, not from job code
-            if self.heartbeat_timeout is not None:
-                now = perf_counter()
-                for conn in [c for c, h in busy.items()
-                             if h.last_beat + self.heartbeat_timeout <= now]:
-                    handle = busy.pop(conn)
-                    silent = now - handle.last_beat
-                    requeue(
-                        handle,
-                        f"worker hung: no heartbeat for {silent:.3f}s "
-                        f"(heartbeat_timeout={self.heartbeat_timeout})",
-                        hang=True,
-                    )
-        return failed
+            try:
+                idle.extend(self._ensure_workers())
+                while True:
+                    # dispatch first: every idle worker gets its next chunk
+                    # before we block collecting, overlapping submission with
+                    # execution and drain
+                    while pending and idle:
+                        handle = idle.popleft()
+                        chunk = self._carve(pending)
+                        # ship the shared context only to workers that don't
+                        # already cache this batch's token
+                        ship_ctx = (token is not None
+                                    and handle.ctx_token != token)
+                        frame = (token, ctx_blob if ship_ctx else None, chunk)
+                        try:
+                            blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+                        except Exception as exc:  # noqa: BLE001 - unpicklable
+                            for p in chunk:
+                                requeue(record((p[0], False,
+                                                f"job not picklable: {exc!r}",
+                                                None, 0, 0.0)))
+                            idle.append(handle)
+                            continue
+                        handle.chunk = chunk
+                        try:
+                            handle.conn.send_bytes(blob)
+                        except (BrokenPipeError, OSError) as exc:
+                            lose(handle, f"worker pid={handle.proc.pid} died "
+                                         f"before its chunk was sent: {exc!r}")
+                            continue
+                        if ship_ctx:
+                            handle.ctx_token = token
+                        handle.last_beat = perf_counter()
+                        busy[handle.conn] = handle
+                        if self.chaos is not None:
+                            self.chaos.on_dispatch(handle, self)
+                    # result hooks (``on_result`` may fsync a checkpoint
+                    # record) run only now, while the workers that returned
+                    # them are already busy on their next chunks
+                    for raw in completed:
+                        requeue(record(raw))
+                    completed.clear()
+                    if pending and idle:
+                        continue  # a failed job was re-queued; dispatch it
+                    if not busy:
+                        break  # nothing in flight and nothing dispatchable
+                    oldest = min(h.last_beat for h in busy.values())
+                    timeout = max(0.0, oldest + _HEARTBEAT_TIMEOUT
+                                  - perf_counter())
+                    for conn in _mp_connection.wait(list(busy), timeout):
+                        handle = busy[conn]
+                        try:
+                            blob = conn.recv_bytes()
+                        except (EOFError, OSError) as exc:
+                            del busy[conn]
+                            lose(handle, f"worker pid={handle.proc.pid} died "
+                                         f"mid-chunk: {exc!r}")
+                            continue
+                        if blob == _BEAT:
+                            # still executing — refresh liveness, stay busy
+                            handle.last_beat = perf_counter()
+                            continue
+                        del busy[conn]
+                        raws = pickle.loads(blob)
+                        # fold the cost model now: the next chunk's size
+                        # depends on it, and records must not delay that
+                        # dispatch
+                        for raw in raws:
+                            self._observe_cost(raw)
+                        completed.extend(raws)
+                        handle.chunk = None
+                        idle.append(handle)
+                    # a busy worker whose beats stopped is hung: a merely
+                    # slow job would still beat, because beats come from the
+                    # worker's supervision thread, not from job code
+                    now = perf_counter()
+                    for conn in [c for c, h in busy.items()
+                                 if now - h.last_beat >= _HEARTBEAT_TIMEOUT]:
+                        handle = busy.pop(conn)
+                        silent = now - handle.last_beat
+                        lose(handle, f"worker pid={handle.proc.pid} hung: no "
+                                     f"heartbeat for {silent:.3f}s", hang=True)
+            except BaseException:
+                # error escaping mid-batch (dispatch bug, KeyboardInterrupt):
+                # workers may hold half-submitted chunks — drop them all so
+                # no orphan processes outlive the failed call; the next run
+                # rebuilds transparently
+                self._discard_workers()
+                raise
+        report.results = [results[i] for i in range(len(jobs))]
+        report.failed = sum(1 for r in report.results if not r.ok)
+        return report
 
     def _context_frame(self, context: Any) -> Tuple[Optional[int],
                                                     Optional[bytes]]:
         """``(token, blob)`` transport frame for a batch's shared context.
 
         The blob is pickled once per distinct context object and reused
-        across retry rounds, consecutive batches and worker respawns —
+        across retries, consecutive batches and worker respawns —
         workers that already cache the token receive only the token.
         """
         if context is None:
@@ -918,7 +780,7 @@ class ParallelExecutor:
 
         Fixed ``chunk_size`` wins if set.  Otherwise: no estimate yet →
         single-job probe chunks (the first round of measurements);
-        with an estimate → ``target_chunk_seconds`` worth of jobs,
+        with an estimate → ``_TARGET_CHUNK_SECONDS`` worth of jobs,
         capped at a fair share of what remains so the tail of a batch
         still spreads across all workers.
         """
@@ -929,7 +791,7 @@ class ParallelExecutor:
             if est is None or est <= 0.0:
                 size = 1
             else:
-                size = max(1, int(self.target_chunk_seconds / est))
+                size = max(1, int(_TARGET_CHUNK_SECONDS / est))
                 fair = -(-len(pending) // max(1, self.workers * 2))
                 size = max(1, min(size, fair))
         size = min(size, len(pending))
@@ -1002,10 +864,9 @@ def plan_shards(n_items: int, shard_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-# -- shared executors ----------------------------------------------------
+# -- shared executor ----------------------------------------------------
 
 _INLINE_EXECUTOR: Optional[ParallelExecutor] = None
-_WARM_EXECUTORS: Dict[tuple, ParallelExecutor] = {}
 
 
 def get_inline_executor() -> ParallelExecutor:
@@ -1020,34 +881,3 @@ def get_inline_executor() -> ParallelExecutor:
     if _INLINE_EXECUTOR is None:
         _INLINE_EXECUTOR = ParallelExecutor(workers=1)
     return _INLINE_EXECUTOR
-
-
-def warm_executor(workers: Optional[int] = None, **kwargs: Any
-                  ) -> ParallelExecutor:
-    """Process-wide warm executor shared across campaigns.
-
-    Returns (creating on first use) a cached :class:`ParallelExecutor`
-    keyed by ``(workers, start_method)``; its pool stays warm between
-    calls and is shut down at interpreter exit.  Per-campaign seeds go
-    through ``run_jobs(..., master_seed=...)`` — do not pass
-    ``master_seed`` here.
-    """
-    if "master_seed" in kwargs:
-        raise ExecutionError(
-            "warm_executor() is shared across campaigns; pass master_seed "
-            "per run (run_jobs(jobs, master_seed=...)) instead"
-        )
-    resolved = workers if workers is not None else (os.cpu_count() or 1)
-    key = (resolved, kwargs.get("start_method"))
-    executor = _WARM_EXECUTORS.get(key)
-    if executor is None:
-        executor = ParallelExecutor(resolved, **kwargs)
-        _WARM_EXECUTORS[key] = executor
-    return executor
-
-
-@atexit.register
-def _shutdown_shared_executors() -> None:  # pragma: no cover - exit hook
-    for executor in list(_WARM_EXECUTORS.values()):
-        executor.close()
-    _WARM_EXECUTORS.clear()

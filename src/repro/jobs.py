@@ -63,7 +63,8 @@ class JobContext:
 
     job_id: str
     seed: int
-    #: 0 on the first run, incremented on each retry
+    #: 0 on the first run, incremented on each re-run (after a raise
+    #: or a lost worker alike)
     attempt: int
     #: fresh per-job registry; attach it to the job's Simulator and the
     #: executor will fold its digest into the merged batch report
@@ -153,6 +154,8 @@ class BatchReport:
     """Aggregate view over one executed batch."""
 
     results: list = field(default_factory=list)
+    #: re-runs of jobs that raised (a re-run after a lost worker is
+    #: harness recovery, kept out of the digest)
     retried: int = 0
     failed: int = 0
 

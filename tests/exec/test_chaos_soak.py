@@ -32,10 +32,7 @@ def chaotic_executor(seed):
     return ParallelExecutor(
         workers=2,
         chunk_size=1,
-        heartbeat_period=0.05,
-        heartbeat_timeout=2.0,
-        max_redispatches=8,
-        shutdown_grace=0.3,
+        retries=8,
         chaos=ExecChaos(seed=seed, kill_every=5, eof_every=7),
     )
 
@@ -94,3 +91,25 @@ def test_chaos_alone_matches_clean_run(clean_digest):
     finally:
         ex.close()
     assert json.dumps(result.campaign_digest, sort_keys=True) == clean_digest
+
+
+def test_sweep_digest_identical_inline_and_under_worker_loss():
+    """Worker loss is harness recovery: it re-runs jobs but must not
+    move a sweep's digest (its ``exec`` block included) by one byte."""
+    from repro.core.campaign import CampaignSpec
+    from repro.fleet import sweep_campaigns
+
+    spec = CampaignSpec(fleet_size=8)
+    inline = sweep_campaigns(spec, replications=12, master_seed=5)
+    ex = ParallelExecutor(workers=2, retries=8,
+                          chaos=ExecChaos(seed=3, kill_every=3))
+    try:
+        chaotic = sweep_campaigns(spec, replications=12, master_seed=5,
+                                  executor=ex)
+        assert ex.chaos.kills > 0, "chaos never killed a worker"
+        assert ex.supervisor.redispatches.value > 0
+    finally:
+        ex.close()
+    assert chaotic.outcomes == inline.outcomes
+    assert (json.dumps(chaotic.digest, sort_keys=True)
+            == json.dumps(inline.digest, sort_keys=True))

@@ -46,8 +46,7 @@ def jobs():
 
 
 def pool(recorder):
-    return ParallelExecutor(workers=2, chunk_size=CHUNK, chaos=recorder,
-                            shutdown_grace=0.5)
+    return ParallelExecutor(workers=2, chunk_size=CHUNK, chaos=recorder)
 
 
 def chunks_by_worker(events):

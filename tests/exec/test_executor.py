@@ -34,6 +34,24 @@ class CrashingJob(SimJob):
         return ("recovered", ctx.seed, ctx.attempt)
 
 
+class CrashThenKillJob(SimJob):
+    """Raises on its first attempt, kills its worker once on a later
+    one, and succeeds after that."""
+
+    def __init__(self, job_id, marker):
+        self.job_id = job_id
+        self.marker = marker
+
+    def run(self, ctx):
+        if ctx.attempt == 0:
+            raise RuntimeError("injected crash")
+        if not os.path.exists(self.marker):
+            with open(self.marker, "w"):
+                pass
+            os._exit(19)
+        return ("survived", ctx.attempt)
+
+
 def make_jobs(n=8):
     return [FunctionJob(f"job{i}", echo_seed, f"tag{i}") for i in range(n)]
 
@@ -136,6 +154,29 @@ class TestRetry:
         with ParallelExecutor(workers=1, retries=0) as ex:
             report = ex.run_jobs(jobs)
         assert [r.ok for r in report.results] == [True, False, True]
+
+
+class TestOneBudget:
+    def test_raise_and_lost_worker_spend_one_budget(self, tmp_path):
+        """A raise and a lost worker each spend one attempt of the one
+        ``retries`` budget."""
+        job = CrashThenKillJob("both", str(tmp_path / "killed2"))
+        with ParallelExecutor(workers=2, retries=2) as ex:
+            report = ex.run_jobs([job])
+        assert report.failed == 0
+        assert report.values == [("survived", 2)]
+        assert report.results[0].attempts == 3
+        # the raise is a retry; the lost worker is a redispatch only
+        assert report.retried == 1
+        assert ex.supervisor.redispatches.value == 1
+
+        job = CrashThenKillJob("both", str(tmp_path / "killed1"))
+        with ParallelExecutor(workers=2, retries=1) as ex:
+            report = ex.run_jobs([job])
+        assert report.failed == 1
+        assert report.results[0].attempts == 2
+        assert "worker pid=" in report.results[0].error
+        assert "died" in report.results[0].error
 
 
 class TestDigestMerging:

@@ -249,7 +249,7 @@ class TestRunJobsCheckpointed:
     def test_parallel_checkpointed_matches_inline(self, tmp_path):
         jobs = [FunctionJob(f"j{i}", draw, f"t{i}") for i in range(12)]
         reference = get_inline_executor().run_jobs(jobs, master_seed=9)
-        ex = ParallelExecutor(workers=2, shutdown_grace=0.3)
+        ex = ParallelExecutor(workers=2)
         try:
             report = run_jobs_checkpointed(
                 jobs, executor=ex, master_seed=9, store=make_store(tmp_path)

@@ -1,5 +1,6 @@
 """Worker supervision tests: heartbeats, hang detection, SIGTERM→SIGKILL
-escalation, idempotent chunk re-dispatch, and bounded pool teardown.
+escalation, idempotent chunk re-dispatch under the one attempt budget,
+and bounded pool teardown.
 
 The scenarios here are the executor-level failure shapes the recovery
 layer is built on: a *dead* worker (pipe EOF), a *hung* worker (alive
@@ -81,6 +82,37 @@ class AlwaysExitJob(SimJob):
         os._exit(23)
 
 
+class SlowPickle:
+    """A value whose pickling sleeps: the worker is silent in no job
+    code, only in the reply's ``pickle.dumps``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __reduce__(self):
+        time.sleep(self.seconds)
+        return (SlowPickle, (0.0,))
+
+
+def _slow_context(seconds):
+    time.sleep(seconds)
+    return {"slept": seconds}
+
+
+class SlowContext:
+    """A shared context whose unpickling, in the worker, sleeps."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __reduce__(self):
+        return (_slow_context, (self.seconds,))
+
+
+def slow_pickle_value(ctx, seconds):
+    return (ctx.shared["slept"], SlowPickle(seconds))
+
+
 class IgnoreTermSleepJob(SimJob):
     """Installs SIG_IGN for SIGTERM, then sleeps forever."""
 
@@ -94,33 +126,37 @@ class IgnoreTermSleepJob(SimJob):
 
 class TestValidation:
     def test_heartbeat_timeout_must_exceed_period(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(
-                workers=2, heartbeat_period=0.5, heartbeat_timeout=0.5
-            )
+        """The watchdog is a constant, many beats long, and not an
+        option."""
+        assert pool_mod._HEARTBEAT_TIMEOUT >= 10 * pool_mod._HEARTBEAT_PERIOD
+        with pytest.raises(TypeError, match="heartbeat_timeout"):
+            ParallelExecutor(workers=2, heartbeat_timeout=1.0)
 
     def test_heartbeat_timeout_requires_a_period(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(
-                workers=2, heartbeat_period=0.0, heartbeat_timeout=1.0
-            )
+        """Workers always beat: the period is a constant above zero,
+        and not an option."""
+        assert pool_mod._HEARTBEAT_PERIOD > 0
+        with pytest.raises(TypeError, match="heartbeat_period"):
+            ParallelExecutor(workers=2, heartbeat_period=0.5)
 
     def test_negative_knobs_rejected(self):
         with pytest.raises(ExecutionError):
-            ParallelExecutor(workers=2, max_redispatches=-1)
+            ParallelExecutor(workers=0)
         with pytest.raises(ExecutionError):
-            ParallelExecutor(workers=2, shutdown_grace=-0.1)
+            ParallelExecutor(workers=2, retries=-1)
         with pytest.raises(ExecutionError):
-            ParallelExecutor(workers=2, heartbeat_period=-0.1)
+            ParallelExecutor(workers=2, chunk_size=0)
+        for removed in ("max_redispatches", "shutdown_grace"):
+            with pytest.raises(TypeError, match=removed):
+                ParallelExecutor(workers=2, **{removed: 1})
 
 
 class TestHangDetection:
-    def test_hung_worker_is_killed_and_chunk_redispatched(self, tmp_path):
+    def test_hung_worker_is_killed_and_chunk_redispatched(
+        self, tmp_path, fast_watchdog
+    ):
         marker = str(tmp_path / "stalled")
-        ex = ParallelExecutor(
-            workers=2, heartbeat_period=0.05, heartbeat_timeout=0.4,
-            shutdown_grace=0.3,
-        )
+        ex = ParallelExecutor(workers=2)
         try:
             ex.warm_up()
             jobs = [FunctionJob(f"j{i}", echo, i) for i in range(8)]
@@ -138,20 +174,36 @@ class TestHangDetection:
         finally:
             ex.close()
 
-    def test_slow_but_beating_job_is_not_declared_hung(self):
-        ex = ParallelExecutor(
-            workers=2, heartbeat_period=0.05, heartbeat_timeout=0.3,
-            shutdown_grace=0.3,
-        )
+    def test_slow_but_beating_job_is_not_declared_hung(self, fast_watchdog):
+        ex = ParallelExecutor(workers=2)
         try:
             ex.warm_up()
             from .test_warm_pool import SleepJob
 
             # sleeps twice the heartbeat timeout: a watchdog keyed on
             # job runtime would kill it; one keyed on beats must not
-            report = ex.run_jobs([SleepJob("slow", 0.6)])
+            report = ex.run_jobs([SleepJob("slow", 0.8)])
             assert report.failed == 0
             assert report.results[0].value == "slept"
+            assert _counter_value(ex, "pool.supervisor.hangs") == 0
+        finally:
+            ex.close()
+
+
+    def test_slow_frame_and_reply_pickling_are_not_silence(
+        self, fast_watchdog
+    ):
+        """The worker beats from receipt of a chunk frame until its
+        reply is sent: unpickling the shared context and pickling the
+        result each take longer than the heartbeat timeout here."""
+        ex = ParallelExecutor(workers=2, retries=0)
+        try:
+            report = ex.run_jobs(
+                [FunctionJob("slow_pickle", slow_pickle_value, 0.8)],
+                context=SlowContext(0.8),
+            )
+            assert report.failed == 0, report.results[0].error
+            assert report.values[0][0] == 0.8
             assert _counter_value(ex, "pool.supervisor.hangs") == 0
         finally:
             ex.close()
@@ -160,7 +212,7 @@ class TestHangDetection:
 class TestRedispatch:
     def test_dead_worker_chunk_redispatched_idempotently(self, tmp_path):
         marker = str(tmp_path / "exited")
-        ex = ParallelExecutor(workers=2, shutdown_grace=0.3)
+        ex = ParallelExecutor(workers=2)
         inline = ParallelExecutor(workers=1)
         try:
             jobs = [FunctionJob(f"j{i}", echo, i) for i in range(8)]
@@ -180,9 +232,7 @@ class TestRedispatch:
             ex.close()
 
     def test_poison_pill_fails_after_redispatch_budget(self):
-        ex = ParallelExecutor(
-            workers=2, retries=0, max_redispatches=2, shutdown_grace=0.3,
-        )
+        ex = ParallelExecutor(workers=2, retries=2)
         try:
             report = ex.run_jobs(
                 [FunctionJob(f"j{i}", echo, i) for i in range(4)]
@@ -191,16 +241,15 @@ class TestRedispatch:
             assert report.failed == 1
             poison = report.results[-1]
             assert "died" in poison.error
-            assert "gave up after 2 redispatches" in poison.error
+            assert poison.attempts == 3
+            assert _counter_value(ex, "pool.supervisor.restarts") >= 3
             # healthy chunk-mates still completed
             assert report.values[:4] == [0, 3, 6, 9]
         finally:
             ex.close()
 
     def test_redispatch_disabled_fails_immediately(self):
-        ex = ParallelExecutor(
-            workers=2, retries=0, max_redispatches=0, shutdown_grace=0.3,
-        )
+        ex = ParallelExecutor(workers=2, retries=0)
         try:
             report = ex.run_jobs([AlwaysExitJob()])
             assert report.failed == 1
@@ -211,13 +260,13 @@ class TestRedispatch:
 
 
 class TestBoundedTeardown:
-    def test_close_escalates_past_sigterm_ignoring_worker(self):
+    def test_close_escalates_past_sigterm_ignoring_worker(
+        self, fast_watchdog
+    ):
         """A sleep-forever worker that ignores SIGTERM must not stall
-        shutdown: close() is bounded by ~2x shutdown_grace and SIGKILLs
-        the straggler (the atexit-hook regression)."""
-        ex = ParallelExecutor(
-            workers=2, shutdown_grace=0.3, heartbeat_period=0.0,
-        )
+        shutdown: close() is bounded by ~2x _SHUTDOWN_GRACE and SIGKILLs
+        the straggler."""
+        ex = ParallelExecutor(workers=2)
         ex.warm_up()
         victim = ex._handles[0]
         payload = [(0, IgnoreTermSleepJob(), 0, 0)]
@@ -236,13 +285,13 @@ class TestBoundedTeardown:
         assert _counter_value(ex, "pool.supervisor.escalations") >= 1
 
     def test_close_is_idempotent_and_cheap_when_empty(self):
-        ex = ParallelExecutor(workers=2, shutdown_grace=0.3)
+        ex = ParallelExecutor(workers=2)
         ex.close()
         ex.close()
         assert ex._handles == []
 
-    def test_kill_escalation_reported_by_handle(self):
-        ex = ParallelExecutor(workers=2, shutdown_grace=0.2)
+    def test_kill_escalation_reported_by_handle(self, fast_watchdog):
+        ex = ParallelExecutor(workers=2)
         ex.warm_up()
         try:
             handle = ex._handles[0]
@@ -252,7 +301,7 @@ class TestBoundedTeardown:
                 assert perf_counter() < deadline, "worker never stopped"
                 time.sleep(0.01)
             # a stopped process defers SIGTERM -> kill() must escalate
-            assert handle.kill(grace=0.2) is True
+            assert handle.kill() is True
             assert not handle.proc.is_alive()
         finally:
             ex.close()
@@ -270,10 +319,11 @@ class TestSupervisorMetrics:
         }
         assert all(v["value"] == 0 for v in counters.values())
 
-    def test_beats_do_not_confuse_ping(self):
+    def test_beats_do_not_confuse_ping(self, monkeypatch):
         """Stale beats on the pipe are drained by ping() (warm_up after
         a busy period must still round-trip)."""
-        ex = ParallelExecutor(workers=2, heartbeat_period=0.02)
+        monkeypatch.setattr(pool_mod, "_HEARTBEAT_PERIOD", 0.02)
+        ex = ParallelExecutor(workers=2)
         try:
             ex.warm_up()
             from .test_warm_pool import SleepJob
@@ -285,10 +335,11 @@ class TestSupervisorMetrics:
             ex.close()
 
 
-def test_worker_beats_only_while_busy():
+def test_worker_beats_only_while_busy(monkeypatch):
     """An idle warm pool writes no beat frames (the pipe buffer of a
     long-idle pool must not fill with stale beats)."""
-    ex = ParallelExecutor(workers=2, heartbeat_period=0.02)
+    monkeypatch.setattr(pool_mod, "_HEARTBEAT_PERIOD", 0.02)
+    ex = ParallelExecutor(workers=2)
     try:
         ex.warm_up()
         time.sleep(0.3)  # many periods of idleness

@@ -1,5 +1,5 @@
 """Warm-pool architecture tests: persistence, cost-model chunking,
-deadline isolation, surgical worker rebuild, and error-path cleanup.
+silent-worker isolation, surgical worker rebuild, and error-path cleanup.
 
 The determinism matrix here is the executor-level parallel ≡ serial
 contract: identical :class:`BatchReport` digests for workers x
@@ -17,7 +17,6 @@ from repro.exec import (
     ParallelExecutor,
     SimJob,
     get_inline_executor,
-    warm_executor,
 )
 from repro.exec import pool as pool_mod
 
@@ -42,6 +41,18 @@ class SleepJob(SimJob):
 
         time.sleep(self.seconds)
         return "slept"
+
+
+class StopJob(SimJob):
+    """SIGSTOPs its worker: alive, pipe open, but silent for good."""
+
+    job_id = "hang"
+
+    def run(self, ctx):
+        import signal
+
+        os.kill(os.getpid(), signal.SIGSTOP)
+        return "never"
 
 
 class ExitJob(SimJob):
@@ -132,18 +143,36 @@ class TestWarmPoolPersistence:
             report = ex.run_jobs(make_jobs(6))
             assert report.failed == 0
             assert survivor in ex._handles
+            restarts = ex.supervisor.snapshot()["counter"][
+                "pool.supervisor.restarts"]["value"]
+            assert restarts == 1
 
     def test_shared_warm_executor_is_cached_and_inline_singleton(self):
-        a = warm_executor(workers=2)
-        b = warm_executor(workers=2)
-        assert a is b
-        assert warm_executor(workers=3) is not a
+        """The one process-wide executor is the inline singleton; it
+        owns no worker processes."""
+        import repro.exec
+
         assert get_inline_executor() is get_inline_executor()
         assert get_inline_executor().workers == 1
+        get_inline_executor().run_jobs(make_jobs(2))
+        assert get_inline_executor()._handles == []
+        assert not hasattr(repro.exec, "warm_executor")
 
     def test_shared_warm_executor_rejects_master_seed(self):
-        with pytest.raises(ExecutionError, match="per run"):
-            warm_executor(workers=2, master_seed=9)
+        """One warm pool serves differently seeded campaigns: the seed
+        goes per run, the workers stay, and each run matches a fresh
+        executor built with that seed."""
+        jobs = make_jobs(6)
+        with ParallelExecutor(workers=2, chunk_size=1) as ex:
+            ex.warm_up()
+            pids = [h.proc.pid for h in ex._handles]
+            runs = {seed: ex.run_jobs(jobs, master_seed=seed).values
+                    for seed in (3, 4, 3)}
+            assert [h.proc.pid for h in ex._handles] == pids
+        for seed, values in runs.items():
+            with ParallelExecutor(workers=1, master_seed=seed) as fresh:
+                assert values == fresh.run_jobs(jobs).values
+        assert runs[3] != runs[4]
 
 
 class TestSharedContext:
@@ -170,43 +199,51 @@ class TestSharedContext:
 
 
 class TestDeadlineIsolation:
-    def test_timed_out_chunk_fails_only_its_own_jobs(self):
-        """The ISSUE regression: one hung chunk must not take down the
-        batch, and only the hung worker is rebuilt."""
-        jobs = [SleepJob("hang", 30.0)] + make_jobs(4)
-        with ParallelExecutor(workers=2, chunk_size=1, job_timeout=0.4,
-                              grace=0.2, retries=0) as ex:
+    """There is no per-chunk deadline: a worker is lost only when it
+    falls silent (or its pipe hits EOF), and a slow job that keeps
+    beating runs to completion."""
+
+    def test_timed_out_chunk_fails_only_its_own_jobs(self, fast_watchdog):
+        """A silent worker costs only its own slot: its job fails, the
+        other jobs pass, and only that worker is replaced."""
+        jobs = [StopJob()] + make_jobs(4)
+        with ParallelExecutor(workers=2, chunk_size=1, retries=0) as ex:
             ex.warm_up()
             before = {h.proc.pid for h in ex._handles}
             report = ex.run_jobs(jobs)
             after = {h.proc.pid for h in ex._handles}
         assert report.failed == 1
         assert not report.results[0].ok
-        assert "deadline" in report.results[0].error
+        assert "hung" in report.results[0].error
         assert all(r.ok for r in report.results[1:])
         # exactly one worker was replaced; the other kept its slot warm
         assert len(before & after) == 1
         assert len(after) == 2
 
-    def test_deadline_uses_configurable_grace(self):
-        """chunk deadline = job_timeout * len(chunk) + grace (the old
-        code hardwired +1.0 regardless of the docstring)."""
-        with ParallelExecutor(workers=2, chunk_size=1, job_timeout=0.05,
-                              grace=2.0, retries=0) as ex:
-            # 0.6s sleep < 0.05 + 2.0 grace: must NOT time out
-            report = ex.run_jobs([SleepJob("slow", 0.6)])
+    def test_deadline_uses_configurable_grace(self, fast_watchdog):
+        """A chunk that runs for twice the heartbeat timeout but keeps
+        beating is not failed, however many jobs it holds."""
+        jobs = [SleepJob(f"slow{i}", 0.3) for i in range(3)]
+        with ParallelExecutor(workers=2, chunk_size=3, retries=0) as ex:
+            report = ex.run_jobs(jobs)
+            hangs = ex.supervisor.hangs.value
         assert report.failed == 0
+        assert len({r.worker_pid for r in report.results}) == 1
+        assert hangs == 0
 
-    def test_pool_still_serves_after_timeout(self):
-        with ParallelExecutor(workers=2, chunk_size=1, job_timeout=0.3,
-                              grace=0.2, retries=0) as ex:
-            ex.run_jobs([SleepJob("hang", 30.0)])
+    def test_pool_still_serves_after_timeout(self, fast_watchdog):
+        with ParallelExecutor(workers=2, chunk_size=1, retries=0) as ex:
+            assert ex.run_jobs([StopJob()]).failed == 1
             report = ex.run_jobs(make_jobs(4))
         assert report.failed == 0
 
     def test_invalid_grace_rejected(self):
-        with pytest.raises(ExecutionError, match="grace"):
-            ParallelExecutor(workers=1, grace=-0.1)
+        """The deadline's keywords are gone, not ignored."""
+        for removed in ("grace", "job_timeout"):
+            with pytest.raises(TypeError, match=removed):
+                ParallelExecutor(workers=1, **{removed: 1.0})
+        with pytest.raises(TypeError, match="grace"):
+            ParallelExecutor(workers=1).close(grace=1.0)
 
 
 class TestWorkerDeath:
@@ -259,8 +296,12 @@ class TestErrorPathCleanup:
 
 class TestStartMethodSelection:
     def test_explicit_unknown_method_names_available(self):
-        with pytest.raises(ExecutionError, match="available"):
-            ParallelExecutor(workers=1, start_method="bogus")
+        """The start method is not an option: the keyword is a
+        TypeError and the pick is one the platform offers."""
+        with pytest.raises(TypeError, match="start_method"):
+            ParallelExecutor(workers=1, start_method="spawn")
+        available = pool_mod.multiprocessing.get_all_start_methods()
+        assert ParallelExecutor(workers=1).start_method in available
 
     def test_preference_order_fork_first(self, monkeypatch):
         monkeypatch.setattr(pool_mod.multiprocessing,
@@ -292,13 +333,15 @@ class TestCostModel:
         ex = ParallelExecutor(workers=4)
         assert len(ex._carve(self._payloads(100))) == 1
 
-    def test_chunks_sized_to_target_seconds(self):
-        ex = ParallelExecutor(workers=4, target_chunk_seconds=0.1)
+    def test_chunks_sized_to_target_seconds(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_TARGET_CHUNK_SECONDS", 0.1)
+        ex = ParallelExecutor(workers=4)
         ex._cost_ema = 0.01  # 10ms jobs -> 10 jobs per chunk
         assert len(ex._carve(self._payloads(1000))) == 10
 
-    def test_fair_share_cap_keeps_workers_busy(self):
-        ex = ParallelExecutor(workers=4, target_chunk_seconds=10.0)
+    def test_fair_share_cap_keeps_workers_busy(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "_TARGET_CHUNK_SECONDS", 10.0)
+        ex = ParallelExecutor(workers=4)
         ex._cost_ema = 0.001  # cost model alone would say 10_000
         pending = self._payloads(40)
         assert len(ex._carve(pending)) == 5  # ceil(40 / (4*2))
@@ -335,5 +378,5 @@ class TestCostModel:
     def test_invalid_cost_params_rejected(self):
         with pytest.raises(ExecutionError, match="chunk_size"):
             ParallelExecutor(workers=1, chunk_size=0)
-        with pytest.raises(ExecutionError, match="target_chunk_seconds"):
-            ParallelExecutor(workers=1, target_chunk_seconds=0.0)
+        with pytest.raises(TypeError, match="target_chunk_seconds"):
+            ParallelExecutor(workers=1, target_chunk_seconds=0.1)

@@ -57,7 +57,7 @@ def canonical(digest):
 
 @pytest.fixture(scope="module")
 def pool():
-    ex = ParallelExecutor(workers=2, shutdown_grace=0.3)
+    ex = ParallelExecutor(workers=2)
     yield ex
     ex.close()
 
@@ -142,7 +142,7 @@ class TestResumeMatrix:
         fp = FaultPoints()
         if crash_after is not None:
             fp.arm("checkpoint.record_written", after=crash_after)
-        executor = ParallelExecutor(workers=workers, shutdown_grace=0.3)
+        executor = ParallelExecutor(workers=workers)
         try:
             FleetCampaign(spec, executor=executor,
                           checkpoint=CheckpointSpec(directory),
