@@ -110,9 +110,7 @@ _RESOURCE_CALLS: Dict[Tuple[str, str], str] = {
 }
 
 #: call names whose ``context=`` keyword ships to every worker
-_CONTEXT_SINKS = frozenset(
-    {"run_jobs", "run", "run_all", "run_jobs_checkpointed"}
-)
+_CONTEXT_SINKS = frozenset({"run_jobs", "run_campaign_jobs"})
 
 #: scheduling methods whose callback becomes snapshot-reachable
 _SCHEDULE_METHODS = frozenset({"schedule", "post", "at"})

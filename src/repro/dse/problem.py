@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..exec.recovery import run_campaign_jobs
 from ..jobs import JobContext, SimJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -212,23 +213,24 @@ def evaluate_genomes(
 
     With ``executor=None`` this is a plain in-process loop; otherwise the
     batch is split into one :class:`GenomeBatchJob` per executor worker
-    slot.  Both paths return evaluations in genome order and produce
-    identical results — the search engines call this at every fan-out
-    point so parallelism never changes a trajectory.
+    slot and run through the campaign spine's strict batch runner.  Both
+    paths return evaluations in genome order and produce identical
+    results — the search engines call this at every fan-out point so
+    parallelism never changes a trajectory.
     """
     if executor is None or executor.workers <= 1 or len(genomes) <= 1:
         return [problem.evaluate_genome(g) for g in genomes]
     # the problem ships once per worker as shared context; jobs carry
     # only genomes, so one job per worker is enough — over-splitting
     # into workers*2 jobs just multiplies dispatch round-trips
-    batches = executor.plan_batches(len(genomes))
-    chunk = max(1, -(-len(genomes) // batches))
+    chunk = -(-len(genomes) // min(executor.workers, len(genomes)))
     jobs = [
         GenomeBatchJob(f"dse.{tag}.{i}", genomes[i:i + chunk])
         for i in range(0, len(genomes), chunk)
     ]
+    report = run_campaign_jobs(jobs, executor=executor, context=problem)
     evaluations: List[Evaluation] = []
-    for batch in executor.run(jobs, context=problem):
+    for batch in report.values:
         evaluations.extend(batch)
     # worker-side copies of the problem counted their own evaluations;
     # mirror the count on the caller's instance

@@ -21,11 +21,12 @@ worker processes without ever changing results:
 * :func:`derive_job_seed` — the seed contract that makes parallel runs
   byte-identical to serial ones;
 * :mod:`repro.exec.recovery` — the campaign spine every campaign runs
-  on (its shared job tail, one replication job and the resume
-  registry), durable checkpoint/resume of sharded campaigns
-  (:class:`CheckpointSpec`, :func:`resume_campaign`) and the seeded
-  executor chaos harness (:class:`ExecChaos`) that proves recovery
-  under worker kills and injected crashes.
+  on (one strict batch runner, ``run_campaign_jobs``; one replication
+  job; one resume entry, :func:`resume_campaign`, over the kind
+  registry), durable checkpoints of sharded campaigns
+  (:class:`CheckpointSpec`) and the seeded executor chaos harness
+  (:class:`ExecChaos`) that proves recovery under worker kills and
+  injected crashes.
 """
 
 from ..jobs import (
@@ -51,7 +52,6 @@ from .recovery import (
     FaultPoints,
     load_manifest,
     resume_campaign,
-    run_jobs_checkpointed,
 )
 
 __all__ = [
@@ -73,5 +73,4 @@ __all__ = [
     "load_manifest",
     "plan_shards",
     "resume_campaign",
-    "run_jobs_checkpointed",
 ]

@@ -111,6 +111,19 @@ def _pick_start_method() -> str:
     )
 
 
+def _check_unique_ids(jobs: Sequence[SimJob]) -> None:
+    """Reject a batch in which two jobs share an id (seeds derive from it)."""
+    seen: Dict[str, int] = {}
+    for index, job in enumerate(jobs):
+        if job.job_id in seen:
+            raise ExecutionError(
+                f"duplicate job_id {job.job_id!r} (indices "
+                f"{seen[job.job_id]} and {index}): seed derivation "
+                f"requires unique ids"
+            )
+        seen[job.job_id] = index
+
+
 def _run_chunk(payload: Sequence[_Payload],
                shared: Any = None) -> List[tuple]:
     """Execute a chunk of jobs in this process (worker entry point).
@@ -503,25 +516,6 @@ class ParallelExecutor:
 
     # -- execution -------------------------------------------------------
 
-    def run(self, jobs: Sequence[SimJob], *,
-            master_seed: Optional[int] = None,
-            context: Any = None) -> List[Any]:
-        """Execute ``jobs``; return their values in job order.
-
-        Raises :class:`ExecutionError` if any job still fails after its
-        retry budget.  Use :meth:`run_jobs` for non-strict execution.
-        """
-        report = self.run_jobs(jobs, master_seed=master_seed,
-                               context=context)
-        if report.failed:
-            bad = [r for r in report.results if not r.ok]
-            detail = "; ".join(f"{r.job_id}: {r.error}" for r in bad[:5])
-            raise ExecutionError(
-                f"{report.failed}/{len(report.results)} jobs failed "
-                f"after {self.retries} retries ({detail})"
-            )
-        return report.values
-
     def run_jobs(self, jobs: Sequence[SimJob], *,
                  master_seed: Optional[int] = None,
                  context: Any = None,
@@ -558,15 +552,7 @@ class ParallelExecutor:
         (workers are discarded, the exception propagates).
         """
         jobs = list(jobs)
-        seen: Dict[str, int] = {}
-        for index, job in enumerate(jobs):
-            if job.job_id in seen:
-                raise ExecutionError(
-                    f"duplicate job_id {job.job_id!r} (indices "
-                    f"{seen[job.job_id]} and {index}): seed derivation "
-                    f"requires unique ids"
-                )
-            seen[job.job_id] = index
+        _check_unique_ids(jobs)
         report = BatchReport()
         if not jobs:
             return report
@@ -797,20 +783,7 @@ class ParallelExecutor:
         size = min(size, len(pending))
         return [pending.popleft() for _ in range(size)]
 
-    # -- planning helpers for heavy-context jobs -------------------------
-
-    def plan_batches(self, n_items: int) -> int:
-        """How many jobs a heavy-context batch of ``n_items`` should form.
-
-        For fan-out sites whose jobs each carry an expensive pickled
-        context (e.g. a DSE problem with its full system model), fewer
-        jobs mean fewer copies of that context on the wire.  One job per
-        worker is the floor; the executor's own chunking cannot split a
-        job, so this is also the unit of load balancing.
-        """
-        if n_items <= 0:
-            return 0
-        return max(1, min(self.workers, n_items))
+    # -- shard planning --------------------------------------------------
 
     def default_shard_size(self, n_items: int) -> int:
         """The shard size :meth:`plan_shards` picks for ``n_items``.

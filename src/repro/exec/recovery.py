@@ -9,25 +9,26 @@ module makes sharded campaigns **preemption-tolerant**:
   summaries.  Every record is written atomically (write-to-temp +
   fsync + rename), so a crash at any instant leaves either the old
   state or the new state on disk, never a torn record.
-* :func:`run_jobs_checkpointed` — a drop-in wrapper around
-  :meth:`~repro.exec.pool.ParallelExecutor.run_jobs` that loads
-  completed jobs from the store, runs only the missing ones, and
-  persists fresh completions **as they finish** (via the executor's
-  ``on_result`` hook), so a crash mid-batch loses only the unflushed
-  tail.
-* :func:`resume_campaign` — restarts an interrupted fleet campaign,
-  fault campaign or campaign sweep from its checkpoint directory alone.
+* :func:`run_campaign_jobs` — the one strict batch runner every
+  campaign ends in: it replays jobs already recorded in the store, runs
+  only the missing ones and persists fresh completions **as they
+  finish** (via the executor's ``on_result`` hook), so a crash
+  mid-batch loses only the unflushed tail.
+* :func:`resume_campaign` — the one resume entry: restarts an
+  interrupted fleet campaign, fault campaign or campaign sweep from its
+  checkpoint directory alone.
   Because every shard digest is a pure function of
   ``(plan, master_seed, index)`` and the reducers are exact mergeable
   summaries, a resumed campaign's digest is **byte-identical** to an
   uninterrupted run's — including mid-wave resume, halt decisions and
   rollback, which are all recomputed deterministically from the spec.
-* :class:`ExecChaos` / :class:`FaultPoints` — a seeded chaos harness
-  for the executor itself (SIGKILL a random busy worker every N
-  chunks, inject pipe EOFs) and crash hooks inside the checkpoint
-  write path, used by the recovery tests and the redispatch-overhead
-  gate in ``benchmarks/bench_gates.py`` to prove the recovery
-  guarantees under fire.
+* :class:`ExecChaos` — a seeded chaos harness for the executor itself
+  (SIGKILL a random busy worker every N chunks, inject pipe EOFs), used
+  by the recovery tests and the redispatch-overhead gate in
+  ``benchmarks/bench_gates.py`` to prove the recovery guarantees under
+  fire.  :class:`FaultPoints` are crash hooks inside the checkpoint
+  write path; tests arm them through the
+  :attr:`CheckpointStore.fault_points` class attribute.
 
 Determinism note: checkpoint file names and digests are pure functions
 of the plan and shard keys — no wall-clock, pid or hostname ever leaks
@@ -51,7 +52,7 @@ from ..jobs import BatchReport, JobContext, JobResult, SimJob, derive_job_seed
 from ..obs.metrics import MetricsRegistry
 from ..sim import Simulator
 from ..sim.rng import RngStreams
-from .pool import _DIE, get_inline_executor
+from .pool import _DIE, _check_unique_ids, get_inline_executor
 
 #: on-disk layout version; bump on any incompatible format change
 CHECKPOINT_SCHEMA = 1
@@ -78,10 +79,10 @@ class CheckpointCrash(RuntimeError):
 class FaultPoints:
     """Named crash hooks threaded through the checkpoint write path.
 
-    Tests arm a point —
-    ``fp.arm("checkpoint.record_written", after=3)`` — and the fourth
-    time execution passes that point, :class:`CheckpointCrash` is
-    raised, simulating a harness crash at a byte-exact stage of the
+    Tests set one as :attr:`CheckpointStore.fault_points` and arm a
+    point — ``fp.arm("checkpoint.record_written", after=3)`` — and the
+    fourth time any store passes that point, :class:`CheckpointCrash`
+    is raised, simulating a harness crash at a byte-exact stage of the
     atomic-write protocol.  Unarmed points only count hits.
 
     Points the store exposes, in write order:
@@ -220,6 +221,12 @@ class CheckpointStore:
       is merely recomputed.
     """
 
+    #: crash hooks every store's write path hits; ``None`` outside the
+    #: recovery tests, which set it on the class.  A store lives only in
+    #: the parent process, so the class attribute reaches every store a
+    #: campaign opens, on any worker start method.
+    fault_points: Optional[FaultPoints] = None
+
     def __init__(
         self,
         spec: CheckpointSpec,
@@ -227,16 +234,15 @@ class CheckpointStore:
         kind: str,
         plan: Any,
         meta: Optional[Dict[str, Any]] = None,
-        fault_points: Optional[FaultPoints] = None,
     ) -> None:
         self.spec = spec
         self.kind = kind
         self.plan = plan
         self.plan_key = plan_key(kind, plan)
-        self.fault_points = fault_points
         #: records buffered since the last flush (key → payload)
         self._buffer: List[Tuple[str, Any]] = []
-        #: load/write accounting for reports and benchmarks
+        #: write accounting since open; ``loaded`` and ``discarded``
+        #: describe the last :meth:`load`
         self.loaded = 0
         self.written = 0
         self.discarded = 0
@@ -359,10 +365,11 @@ class CheckpointStore:
     def load(self) -> Dict[str, Any]:
         """Read every valid record; torn/foreign records are discarded."""
         records: Dict[str, Any] = {}
+        discarded = 0
         try:
             names = sorted(os.listdir(self.spec.dir))
         except FileNotFoundError:
-            return records
+            names = []
         for name in names:
             if not name.endswith(RECORD_SUFFIX):
                 continue  # manifest, *.tmp leftovers, foreign files
@@ -376,72 +383,16 @@ class CheckpointStore:
                         or header.get("plan_key") != self.plan_key
                         or header.get("sha256")
                         != hashlib.sha256(blob).hexdigest()):
-                    self.discarded += 1
+                    discarded += 1
                     continue
                 records[header["key"]] = pickle.loads(blob)
             except (OSError, ValueError, KeyError, pickle.PickleError,
                     EOFError):
-                self.discarded += 1  # torn or corrupt — recompute it
+                discarded += 1  # torn or corrupt — recompute it
                 continue
         self.loaded = len(records)
+        self.discarded = discarded
         return records
-
-
-# -- checkpointed batch execution ----------------------------------------
-
-
-def run_jobs_checkpointed(
-    jobs: Sequence[SimJob],
-    *,
-    executor,
-    master_seed: int,
-    context: Any = None,
-    store: Optional[CheckpointStore] = None,
-) -> BatchReport:
-    """:meth:`run_jobs` with durable skip-and-persist semantics.
-
-    Jobs whose ``job_id`` already has a valid record in ``store`` are
-    **not re-executed** — their stored ``(value, digest)`` is replayed
-    into the report (marked ``attempts=0``).  The remaining jobs run
-    normally, and each successful result is handed to the store as it
-    completes, so even a crash mid-batch preserves every flushed shard.
-    Without a store this is exactly ``executor.run_jobs``.
-
-    Correctness rests on the executor's seed contract: a job's seed
-    derives from ``(master_seed, job_id)`` alone, so a stored value is
-    bit-for-bit what re-execution would produce — skipping is
-    unobservable in the merged summary.
-    """
-    jobs = list(jobs)
-    if store is None:
-        return executor.run_jobs(jobs, master_seed=master_seed,
-                                 context=context)
-    records = store.load()
-    fresh = [job for job in jobs if job.job_id not in records]
-    fresh_report = BatchReport()
-    if fresh:
-        fresh_report = executor.run_jobs(
-            fresh, master_seed=master_seed, context=context,
-            on_result=lambda r: store.add(r.job_id, (r.value, r.digest)),
-        )
-    store.flush()
-    by_id = {r.job_id: r for r in fresh_report.results}
-    results: List[JobResult] = []
-    for index, job in enumerate(jobs):
-        if job.job_id in records:
-            value, digest = records[job.job_id]
-            results.append(JobResult(
-                index=index, job_id=job.job_id,
-                seed=derive_job_seed(master_seed, job.job_id),
-                attempts=0, value=value, digest=digest,
-            ))
-        else:
-            result = by_id[job.job_id]
-            result.index = index
-            results.append(result)
-    report = BatchReport(results=results, retried=fresh_report.retried)
-    report.failed = sum(1 for r in results if not r.ok)
-    return report
 
 
 # -- the campaign spine --------------------------------------------------
@@ -519,16 +470,14 @@ def resolve_seed(master_seed: Optional[int], executor: Any) -> int:
     return executor.master_seed if executor is not None else 0
 
 
-def open_store(checkpoint: Optional[CheckpointSpec], kind: str, plan: Any,
-               fault_points: Optional[FaultPoints] = None
-               ) -> Optional[CheckpointStore]:
+def open_store(checkpoint: Optional[CheckpointSpec], kind: str,
+               plan: Any) -> Optional[CheckpointStore]:
     """The campaign's checkpoint store (``None`` without a checkpoint)."""
     if checkpoint is None:
         return None
     return CheckpointStore(
         checkpoint, kind=kind, plan=plan,
         meta={"every_n_shards": checkpoint.every_n_shards},
-        fault_points=fault_points,
     )
 
 
@@ -542,19 +491,53 @@ def run_campaign_jobs(
     error: type = ExecutionError,
     what: str = "jobs",
 ) -> BatchReport:
-    """The tail every campaign runs its jobs through.
+    """The one strict batch runner every campaign ends in.
 
-    Resolves the seed (:func:`resolve_seed`), falls back to the shared
-    inline executor, runs through :func:`run_jobs_checkpointed` and
-    raises ``error`` naming the first failures if any job failed.
+    Resolves the seed (:func:`resolve_seed`) and falls back to the
+    shared inline executor.  With a ``store``, jobs whose ``job_id``
+    already has a valid record are **not re-executed**: their stored
+    ``(value, digest)`` is replayed into the report (marked
+    ``attempts=0``).  The rest run through ``executor.run_jobs``, whose
+    ``on_result`` hook hands each success to the store as it completes,
+    so a crash mid-batch preserves every flushed shard.  Raises
+    ``error`` naming the first failures if any job failed.
+
+    Replay is unobservable: a job's seed derives from
+    ``(master_seed, job_id)`` alone, so a stored value is bit-for-bit
+    what re-execution would produce.  Ids are checked for uniqueness
+    before the store is read, so a duplicate cannot hide behind a
+    replayed record.
     """
+    jobs = list(jobs)
+    _check_unique_ids(jobs)
     seed = resolve_seed(master_seed, executor)
     if executor is None:
         executor = get_inline_executor()
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=seed, context=context,
-        store=store,
+    records = store.load() if store is not None else {}
+    report = executor.run_jobs(
+        [job for job in jobs if job.job_id not in records],
+        master_seed=seed, context=context,
+        on_result=None if store is None
+        else lambda r: store.add(r.job_id, (r.value, r.digest)),
     )
+    if store is not None:
+        store.flush()
+    if records:
+        fresh = iter(report.results)
+        results: List[JobResult] = []
+        for index, job in enumerate(jobs):
+            if job.job_id in records:
+                value, digest = records[job.job_id]
+                result = JobResult(
+                    index=index, job_id=job.job_id,
+                    seed=derive_job_seed(seed, job.job_id),
+                    attempts=0, value=value, digest=digest,
+                )
+            else:
+                result = next(fresh)
+                result.index = index
+            results.append(result)
+        report.results = results
     failed = [r for r in report.results if not r.ok]
     if failed:
         detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
@@ -573,7 +556,6 @@ def run_replications(
     master_seed: Optional[int] = None,
     fork: bool = True,
     checkpoint: Optional[CheckpointSpec] = None,
-    fault_points: Optional[FaultPoints] = None,
 ) -> BatchReport:
     """Run ``replications`` independent replications of ``kind``.
 
@@ -587,8 +569,7 @@ def run_replications(
     if replications < 1:
         raise kind.error(f"{kind.name} needs at least one replication")
     seed = resolve_seed(master_seed, executor)
-    store = open_store(checkpoint, kind.name, (spec, replications, seed),
-                       fault_points)
+    store = open_store(checkpoint, kind.name, (spec, replications, seed))
     jobs = [ReplicationJob(kind, f"{kind.prefix}.rep{i}", spec)
             for i in range(replications)]
     return run_campaign_jobs(
@@ -600,8 +581,8 @@ def run_replications(
 
 # -- resume --------------------------------------------------------------
 
-#: checkpoint kind -> ``rerun(plan, *, executor, fork, checkpoint,
-#: fault_points)``; every campaign module registers its kind at import
+#: checkpoint kind -> ``rerun(plan, *, executor, fork, checkpoint)``;
+#: every campaign module registers its kind at import
 KINDS: Dict[str, Callable[..., Any]] = {}
 
 
@@ -610,7 +591,6 @@ def resume_campaign(
     *,
     executor: Any = None,
     fork: bool = True,
-    fault_points: Optional[FaultPoints] = None,
 ) -> Any:
     """Resume an interrupted campaign from its checkpoint directory.
 
@@ -639,8 +619,7 @@ def resume_campaign(
     checkpoint = CheckpointSpec(
         dir=directory, every_n_shards=int(meta.get("every_n_shards", 1))
     )
-    return rerun(plan, executor=executor, fork=fork, checkpoint=checkpoint,
-                 fault_points=fault_points)
+    return rerun(plan, executor=executor, fork=fork, checkpoint=checkpoint)
 
 
 # -- executor-level chaos ------------------------------------------------
@@ -714,6 +693,5 @@ __all__ = [
     "resolve_seed",
     "resume_campaign",
     "run_campaign_jobs",
-    "run_jobs_checkpointed",
     "run_replications",
 ]

@@ -21,7 +21,6 @@ from ..exec.recovery import (
     KINDS,
     ReplicationKind,
     base_snapshot,
-    resume_campaign,
     run_replications,
 )
 from ..hw.catalog import platform_computer
@@ -377,7 +376,6 @@ def run_fault_campaign(
     master_seed: Optional[int] = None,
     fork: bool = True,
     checkpoint=None,
-    fault_points=None,
 ) -> FaultCampaignResult:
     """Run ``replications`` independent chaos replications.
 
@@ -395,16 +393,12 @@ def run_fault_campaign(
 
     ``checkpoint`` (a :class:`repro.exec.recovery.CheckpointSpec`)
     persists each completed replication atomically; an interrupted
-    campaign resumes via :func:`resume_fault_campaign` /
-    :func:`repro.exec.recovery.resume_campaign`, re-running only the
-    missing replications with their original seeds.  ``fault_points``
-    threads injected checkpoint-write crashes through the store (chaos
-    testing only).
+    campaign resumes via :func:`repro.exec.recovery.resume_campaign`,
+    re-running only the missing replications with their original seeds.
     """
     report = run_replications(
         CHAOS, spec, replications=replications, executor=executor,
         master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-        fault_points=fault_points,
     )
     return FaultCampaignResult(
         outcomes=report.values, digest=report.merged_digest()
@@ -420,14 +414,6 @@ def _rerun(plan, **options) -> FaultCampaignResult:
 KINDS[CHAOS.name] = _rerun
 
 
-def resume_fault_campaign(directory: str, *,
-                          executor: Optional["ParallelExecutor"] = None,
-                          fork: bool = True) -> FaultCampaignResult:
-    """Resume an interrupted checkpointed fault campaign (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    return resume_campaign(directory, executor=executor, fork=fork)
-
-
 __all__ = [
     "ChaosCaller",
     "FaultCampaignOutcome",
@@ -439,7 +425,6 @@ __all__ = [
     "build_resilience_report",
     "campaign_outcome",
     "redundant_ring_topology",
-    "resume_fault_campaign",
     "run_fault_campaign",
     "start_chaos_workload",
 ]

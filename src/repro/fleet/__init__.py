@@ -17,7 +17,8 @@ package makes that tractable at 10^5–10^6 vehicles:
   byte-identical digests (:func:`repro.exec.resume_campaign`);
 * :mod:`repro.fleet.sweep` — multi-replication sweeps of one
   :class:`~repro.core.campaign.CampaignSpec` rollout
-  (:func:`sweep_campaigns`, :func:`resume_sweep`).
+  (:func:`sweep_campaigns`; an interrupted sweep resumes through
+  :func:`repro.exec.resume_campaign` like every other campaign).
 """
 
 from .service import (
@@ -39,7 +40,7 @@ from .shard import (
     simulate_vehicle,
 )
 from .summary import FleetDigest, StatSummary, TopK, merge_digests
-from .sweep import CampaignJob, SweepResult, resume_sweep, sweep_campaigns
+from .sweep import CampaignJob, SweepResult, sweep_campaigns
 from .variants import (
     VARIANT_TABLE,
     VehicleVariant,
@@ -68,7 +69,6 @@ __all__ = [
     "build_fleet_snapshots",
     "build_vehicle_world",
     "merge_digests",
-    "resume_sweep",
     "run_fleet",
     "run_fleet_campaign",
     "simulate_vehicle",

@@ -118,7 +118,6 @@ class FleetCampaign:
         executor=None,
         fork: bool = True,
         checkpoint=None,
-        fault_points=None,
     ) -> None:
         if spec.fleet.size < 1:
             raise UpdateError("fleet campaign needs at least one vehicle")
@@ -142,8 +141,7 @@ class FleetCampaign:
         #: digest an uninterrupted run would produce — wave boundaries,
         #: halt decisions and rollback are recomputed from the spec, the
         #: only durable state is the per-shard digests themselves
-        self.store = open_store(checkpoint, "fleet_campaign", spec,
-                                fault_points)
+        self.store = open_store(checkpoint, "fleet_campaign", spec)
         if self.store is not None:
             self.store.retain(
                 job.job_id
@@ -224,7 +222,6 @@ def run_fleet_campaign(
     executor=None,
     fork: bool = True,
     checkpoint=None,
-    fault_points=None,
 ) -> FleetCampaignResult:
     """Build and run one staged campaign to completion.
 
@@ -235,7 +232,6 @@ def run_fleet_campaign(
     """
     return FleetCampaign(
         spec, executor=executor, fork=fork, checkpoint=checkpoint,
-        fault_points=fault_points,
     ).run()
 
 

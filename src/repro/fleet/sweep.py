@@ -25,7 +25,6 @@ from ..exec.recovery import (
     KINDS,
     ReplicationJob,
     ReplicationKind,
-    resume_campaign,
     run_replications,
 )
 
@@ -69,7 +68,6 @@ def sweep_campaigns(
     master_seed: Optional[int] = None,
     fork: bool = True,
     checkpoint=None,
-    fault_points=None,
 ) -> SweepResult:
     """Run ``replications`` independent campaign replications.
 
@@ -87,14 +85,12 @@ def sweep_campaigns(
 
     ``checkpoint`` (a :class:`repro.exec.recovery.CheckpointSpec`)
     persists each completed replication atomically; an interrupted
-    sweep resumes via :func:`resume_sweep` /
-    :func:`repro.exec.recovery.resume_campaign`, re-running only the
-    missing replications with their original seeds.
+    sweep resumes via :func:`repro.exec.recovery.resume_campaign`,
+    re-running only the missing replications with their original seeds.
     """
     report = run_replications(
         SWEEP, spec, replications=replications, executor=executor,
         master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-        fault_points=fault_points,
     )
     return SweepResult(outcomes=report.values, digest=report.merged_digest())
 
@@ -106,11 +102,3 @@ def _rerun(plan, **options) -> SweepResult:
 
 
 KINDS[SWEEP.name] = _rerun
-
-
-def resume_sweep(directory: str, *,
-                 executor: Optional[ParallelExecutor] = None,
-                 fork: bool = True) -> SweepResult:
-    """Resume an interrupted checkpointed campaign sweep (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    return resume_campaign(directory, executor=executor, fork=fork)

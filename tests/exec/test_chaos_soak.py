@@ -16,7 +16,6 @@ from repro.exec import ExecChaos, ParallelExecutor
 from repro.exec.recovery import (
     CheckpointCrash,
     CheckpointSpec,
-    FaultPoints,
     resume_campaign,
 )
 from repro.fleet import FleetCampaign, FleetCampaignSpec, FleetSpec, run_fleet_campaign
@@ -45,12 +44,12 @@ def clean_digest():
 
 
 def test_chaos_soak_digest_survives_kills_eofs_and_crash(
-    tmp_path, clean_digest
+    tmp_path, clean_digest, fault_points
 ):
     directory = str(tmp_path / "ckpt")
     # crash the checkpoint writer roughly 60% of the way through the
     # campaign's 32 shard records (12 + 8 rounding from the wave plan)
-    fault_points = FaultPoints().arm("checkpoint.record_written", after=17)
+    fault_points.arm("checkpoint.record_written", after=17)
     ex = chaotic_executor(seed=11)
     try:
         with pytest.raises(CheckpointCrash):
@@ -58,7 +57,6 @@ def test_chaos_soak_digest_survives_kills_eofs_and_crash(
                 SOAK_SPEC,
                 executor=ex,
                 checkpoint=CheckpointSpec(directory),
-                fault_points=fault_points,
             ).run()
         # the chaos harness actually did its job before the crash
         assert ex.chaos.kills > 0, "chaos never killed a worker"

@@ -206,7 +206,7 @@ class TestCrashRetryDeterminism:
             CampaignJob("campaign.rep2", CAMPAIGN_SPEC),
         ]
         with ParallelExecutor(workers=1, master_seed=17) as executor:
-            reference = executor.run(clean_jobs)
+            reference = executor.run_jobs(clean_jobs).values
         with ParallelExecutor(workers=workers, master_seed=17,
                               retries=1) as executor:
             report = executor.run_jobs(flaky_jobs)

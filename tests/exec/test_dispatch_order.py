@@ -143,6 +143,6 @@ def test_hook_failure_aborts_batch_without_live_workers():
         calls = [e for e in recorder.events if e[0] == "result"]
         assert len(calls) == 3
         # the pool rebuilds transparently for the next batch
-        assert ex.run(jobs()[:4], master_seed=3) == [0, 1, 4, 9]
+        assert ex.run_jobs(jobs()[:4], master_seed=3).values == [0, 1, 4, 9]
     finally:
         ex.close()

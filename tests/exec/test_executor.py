@@ -11,6 +11,7 @@ from repro.exec import (
     SimJob,
     derive_job_seed,
 )
+from repro.exec.recovery import run_campaign_jobs
 from repro.obs.report import merge_digests
 
 
@@ -72,11 +73,11 @@ class TestSeedDerivation:
 class TestExecutorBasics:
     def test_empty_batch(self):
         with ParallelExecutor(workers=1) as ex:
-            assert ex.run([]) == []
+            assert ex.run_jobs([]).values == []
 
     def test_results_in_job_order(self):
         with ParallelExecutor(workers=2, master_seed=5) as ex:
-            values = ex.run(make_jobs())
+            values = ex.run_jobs(make_jobs()).values
         assert [v[0] for v in values] == [f"tag{i}" for i in range(8)]
 
     def test_duplicate_job_ids_rejected(self):
@@ -84,7 +85,7 @@ class TestExecutorBasics:
                 FunctionJob("same", echo_seed, "b")]
         with ParallelExecutor(workers=1) as ex:
             with pytest.raises(ExecutionError, match="duplicate"):
-                ex.run(jobs)
+                ex.run_jobs(jobs)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ExecutionError):
@@ -104,9 +105,9 @@ class TestDeterminism:
     def test_values_identical_across_worker_counts(self, workers):
         jobs = make_jobs(10)
         with ParallelExecutor(workers=1, master_seed=42) as ex:
-            serial = ex.run(jobs)
+            serial = ex.run_jobs(jobs).values
         with ParallelExecutor(workers=workers, master_seed=42) as ex:
-            parallel = ex.run(jobs)
+            parallel = ex.run_jobs(jobs).values
         assert serial == parallel
 
     def test_chunking_never_affects_values(self):
@@ -115,15 +116,15 @@ class TestDeterminism:
         for chunk_size in (1, 4, 100):
             with ParallelExecutor(workers=2, master_seed=7,
                                   chunk_size=chunk_size) as ex:
-                outputs.append(ex.run(jobs))
+                outputs.append(ex.run_jobs(jobs).values)
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_master_seed_changes_values(self):
         jobs = make_jobs(3)
         with ParallelExecutor(workers=1, master_seed=1) as ex:
-            a = ex.run(jobs)
+            a = ex.run_jobs(jobs).values
         with ParallelExecutor(workers=1, master_seed=2) as ex:
-            b = ex.run(jobs)
+            b = ex.run_jobs(jobs).values
         assert a != b
 
 
@@ -146,7 +147,7 @@ class TestRetry:
         assert "injected crash" in report.results[0].error
         with ParallelExecutor(workers=1, retries=1) as ex:
             with pytest.raises(ExecutionError, match="doomed"):
-                ex.run([CrashingJob("doomed", 5)])
+                run_campaign_jobs([CrashingJob("doomed", 5)], executor=ex)
 
     def test_crash_does_not_poison_chunk_mates(self):
         jobs = [FunctionJob("a", echo_seed, "a"), CrashingJob("bad", 99),

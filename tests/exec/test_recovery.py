@@ -1,5 +1,6 @@
 """Checkpoint store tests: atomic writes, integrity, fault points, and
-checkpointed batch execution with skip-and-persist semantics."""
+the campaign spine's strict batch runner with skip-and-persist
+semantics."""
 
 import json
 import os
@@ -16,7 +17,7 @@ from repro.exec.recovery import (
     FaultPoints,
     load_manifest,
     plan_key,
-    run_jobs_checkpointed,
+    run_campaign_jobs,
 )
 
 
@@ -29,11 +30,9 @@ def draw(ctx, tag):
     return (tag, ctx.rng().uniform("u", 0.0, 1.0))
 
 
-def make_store(tmp_path, every_n=1, fault_points=None, plan=("p", 1)):
+def make_store(tmp_path, every_n=1, plan=("p", 1)):
     spec = CheckpointSpec(dir=str(tmp_path / "ckpt"), every_n_shards=every_n)
-    return CheckpointStore(
-        spec, kind="test", plan=plan, fault_points=fault_points
-    )
+    return CheckpointStore(spec, kind="test", plan=plan)
 
 
 class TestCheckpointSpec:
@@ -122,6 +121,27 @@ class TestIntegrity:
         assert fresh.load() == {}
         assert fresh.discarded == 1
 
+    def test_discarded_describes_the_last_load(self, tmp_path):
+        """Like ``loaded``, ``discarded`` counts what the last load saw:
+        a store loaded once per wave must not sum the same torn record
+        once per wave."""
+        store = make_store(tmp_path)
+        store.add("good", 1)
+        store.add("torn", 2)
+        (path,) = [
+            os.path.join(store.spec.dir, n)
+            for n in os.listdir(store.spec.dir)
+            if n.startswith("torn") and n.endswith(".ckpt")
+        ]
+        with open(path, "r+b") as fh:
+            fh.truncate(10)
+        for _ in range(3):
+            assert store.load() == {"good": 1}
+            assert (store.loaded, store.discarded) == (1, 1)
+        os.remove(path)
+        store.load()
+        assert (store.loaded, store.discarded) == (1, 0)
+
     def test_foreign_plan_records_rejected_at_open(self, tmp_path):
         make_store(tmp_path, plan=("p", 1))
         with pytest.raises(ExecutionError, match="different campaign"):
@@ -169,27 +189,45 @@ class TestFaultPoints:
         fp.hit("x")
         assert fp.hits == {"x": 2}
 
-    def test_crash_before_rename_leaves_no_record(self, tmp_path):
-        fp = FaultPoints().arm("checkpoint.tmp_written")
-        store = make_store(tmp_path, fault_points=fp)
+    def test_crash_before_rename_leaves_no_record(self, tmp_path,
+                                                  fault_points):
+        fault_points.arm("checkpoint.tmp_written")
+        store = make_store(tmp_path)
         with pytest.raises(CheckpointCrash):
             store.add("shard", {"x": 1})
         # the temp file may remain, but no *visible* record does — and a
         # resume recomputes the shard instead of trusting torn state
         assert make_store(tmp_path).load() == {}
 
-    def test_crash_after_rename_keeps_the_record(self, tmp_path):
-        fp = FaultPoints().arm("checkpoint.record_written")
-        store = make_store(tmp_path, fault_points=fp)
+    def test_crash_after_rename_keeps_the_record(self, tmp_path,
+                                                 fault_points):
+        fault_points.arm("checkpoint.record_written")
+        store = make_store(tmp_path)
         with pytest.raises(CheckpointCrash):
             store.add("shard", {"x": 1})
         assert make_store(tmp_path).load() == {"shard": {"x": 1}}
+
+    def test_torn_write_after_header_leaves_no_record(self, tmp_path,
+                                                      fault_points):
+        """A crash between the header line and the payload leaves only a
+        torn temp file: nothing visible, and the key writes cleanly
+        afterwards."""
+        fault_points.arm("checkpoint.header_written")
+        store = make_store(tmp_path)
+        with pytest.raises(CheckpointCrash):
+            store.add("shard", {"x": 1})
+        assert not [n for n in os.listdir(store.spec.dir)
+                    if n.endswith(".ckpt")]
+        assert make_store(tmp_path).load() == {}
+        store = make_store(tmp_path)
+        store.add("shard", {"x": 2})
+        assert make_store(tmp_path).load() == {"shard": {"x": 2}}
 
 
 class TestRunJobsCheckpointed:
     def test_without_store_is_plain_run_jobs(self):
         jobs = [FunctionJob(f"j{i}", square, i) for i in range(5)]
-        report = run_jobs_checkpointed(
+        report = run_campaign_jobs(
             jobs, executor=get_inline_executor(), master_seed=3
         )
         assert report.values == [0, 1, 4, 9, 16]
@@ -198,10 +236,10 @@ class TestRunJobsCheckpointed:
         jobs = [FunctionJob(f"j{i}", draw, f"t{i}") for i in range(6)]
         ex = get_inline_executor()
         store = make_store(tmp_path)
-        first = run_jobs_checkpointed(
+        first = run_campaign_jobs(
             jobs, executor=ex, master_seed=5, store=store
         )
-        again = run_jobs_checkpointed(
+        again = run_campaign_jobs(
             jobs, executor=ex, master_seed=5, store=make_store(tmp_path)
         )
         assert again.values == first.values
@@ -216,7 +254,7 @@ class TestRunJobsCheckpointed:
         jobs = [FunctionJob(f"j{i}", draw, f"t{i}") for i in range(6)]
         ex = get_inline_executor()
         full_store = make_store(tmp_path)
-        reference = run_jobs_checkpointed(
+        reference = run_campaign_jobs(
             jobs, executor=ex, master_seed=5, store=full_store
         )
         # drop half the records to simulate a mid-batch crash
@@ -226,21 +264,23 @@ class TestRunJobsCheckpointed:
         )
         for name in names[:3]:
             os.remove(os.path.join(full_store.spec.dir, name))
-        resumed = run_jobs_checkpointed(
+        resumed = run_campaign_jobs(
             jobs, executor=ex, master_seed=5, store=make_store(tmp_path)
         )
         assert resumed.values == reference.values
         ran = [r for r in resumed.results if r.attempts > 0]
         assert len(ran) == 3  # exactly the missing ones re-ran
 
-    def test_results_persist_mid_batch_not_only_at_the_end(self, tmp_path):
+    def test_results_persist_mid_batch_not_only_at_the_end(
+        self, tmp_path, fault_points
+    ):
         """The on_result hook flushes shards as they complete: a crash
         after N completions must leave N durable records."""
-        fp = FaultPoints().arm("checkpoint.record_written", after=2)
-        store = make_store(tmp_path, fault_points=fp)
+        fault_points.arm("checkpoint.record_written", after=2)
+        store = make_store(tmp_path)
         jobs = [FunctionJob(f"j{i}", square, i) for i in range(6)]
         with pytest.raises(CheckpointCrash):
-            run_jobs_checkpointed(
+            run_campaign_jobs(
                 jobs, executor=get_inline_executor(), master_seed=1,
                 store=store,
             )
@@ -251,15 +291,37 @@ class TestRunJobsCheckpointed:
         reference = get_inline_executor().run_jobs(jobs, master_seed=9)
         ex = ParallelExecutor(workers=2)
         try:
-            report = run_jobs_checkpointed(
+            report = run_campaign_jobs(
                 jobs, executor=ex, master_seed=9, store=make_store(tmp_path)
             )
         finally:
             ex.close()
         assert report.values == reference.values
-        resumed = run_jobs_checkpointed(
+        resumed = run_campaign_jobs(
             jobs, executor=get_inline_executor(), master_seed=9,
             store=make_store(tmp_path),
         )
         assert resumed.values == reference.values
         assert all(r.attempts == 0 for r in resumed.results)
+
+    def test_duplicate_ids_rejected_before_the_store_is_read(self, tmp_path):
+        """A stored record must not let a duplicate id through: with or
+        without a store, the batch fails on the id, not on a replay."""
+        twins = [FunctionJob("a", square, 1), FunctionJob("a", square, 2)]
+        run_campaign_jobs(twins[:1], master_seed=1,
+                          store=make_store(tmp_path))
+        with pytest.raises(ExecutionError, match="duplicate job_id 'a'"):
+            run_campaign_jobs(twins, master_seed=1)
+        with pytest.raises(ExecutionError, match="duplicate job_id 'a'"):
+            run_campaign_jobs(twins, master_seed=1,
+                              store=make_store(tmp_path))
+
+    def test_failed_job_raises_the_kind_error(self, tmp_path):
+        """The strict runner raises the caller's error type naming the
+        failed job; stored successes are kept."""
+        jobs = [FunctionJob("ok", square, 2), FunctionJob("bad", square, None)]
+        store = make_store(tmp_path)
+        with pytest.raises(KeyError, match="1/2 squares failed .*bad"):
+            run_campaign_jobs(jobs, master_seed=1, store=store,
+                              error=KeyError, what="squares")
+        assert set(make_store(tmp_path).load()) == {"ok"}

@@ -13,7 +13,9 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.exec import (
+    BatchReport,
     FunctionJob,
+    JobResult,
     ParallelExecutor,
     SimJob,
     get_inline_executor,
@@ -370,10 +372,33 @@ class TestCostModel:
         assert ex._cost_ema < 1.0
 
     def test_plan_batches_is_one_per_worker(self):
-        ex = ParallelExecutor(workers=4)
-        assert ex.plan_batches(100) == 4
-        assert ex.plan_batches(2) == 2
-        assert ex.plan_batches(0) == 0
+        """DSE fan-out forms one job per worker, fewer for a small batch:
+        every job ships the whole problem as shared context."""
+        from repro.dse.problem import evaluate_genomes
+
+        class RecordingExecutor:
+            workers = 4
+            master_seed = 0
+
+            def __init__(self):
+                self.batches = []
+
+            def run_jobs(self, jobs, **_):
+                self.batches.append(len(jobs))
+                return BatchReport(results=[
+                    JobResult(index=i, job_id=job.job_id, seed=0,
+                              attempts=1, value=job.genomes)
+                    for i, job in enumerate(jobs)
+                ])
+
+        class Problem:
+            evaluations = 0
+
+        ex = RecordingExecutor()
+        genomes = [[i] for i in range(100)]
+        assert evaluate_genomes(Problem(), genomes, ex) == genomes
+        assert evaluate_genomes(Problem(), genomes[:2], ex) == genomes[:2]
+        assert ex.batches == [4, 2]
 
     def test_invalid_cost_params_rejected(self):
         with pytest.raises(ExecutionError, match="chunk_size"):

@@ -10,6 +10,7 @@ sweeps).
 """
 
 import json
+import os
 
 import pytest
 
@@ -19,22 +20,16 @@ from repro.exec.recovery import (
     CheckpointCrash,
     CheckpointSpec,
     CheckpointStore,
-    FaultPoints,
     load_manifest,
     load_plan,
     resume_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.faults.campaign import (
-    FaultCampaignSpec,
-    resume_fault_campaign,
-    run_fault_campaign,
-)
+from repro.faults.campaign import FaultCampaignSpec, run_fault_campaign
 from repro.fleet import (
     FleetCampaign,
     FleetCampaignSpec,
     FleetSpec,
-    resume_sweep,
     run_fleet_campaign,
     sweep_campaigns,
 )
@@ -75,16 +70,14 @@ class TestResumeMatrix:
     @pytest.mark.parametrize("crash_after", [0, 3, 6])
     def test_kill_at_any_boundary_resumes_byte_identical(
         self, tmp_path, pool, reference_digest, shard_size, workers,
-        crash_after,
+        crash_after, fault_points,
     ):
         spec = fleet_spec(shard_size)
         executor = pool if workers == 2 else None
         directory = str(tmp_path / "ckpt")
-        fp = FaultPoints().arm("checkpoint.record_written",
-                               after=crash_after)
+        fault_points.arm("checkpoint.record_written", after=crash_after)
         campaign = FleetCampaign(
-            spec, executor=executor,
-            checkpoint=CheckpointSpec(directory), fault_points=fp,
+            spec, executor=executor, checkpoint=CheckpointSpec(directory),
         )
         try:
             campaign.run()
@@ -98,18 +91,17 @@ class TestResumeMatrix:
         if crash_after < 6 or shard_size == 3:
             assert crashed, "fault point never fired — matrix too small"
 
-    def test_resume_skips_completed_shards(self, tmp_path, monkeypatch):
+    def test_resume_skips_completed_shards(self, tmp_path, monkeypatch,
+                                           fault_points):
         """After a crash with k shards durable, resume simulates only
         the vehicles of the missing shards."""
         from repro.fleet import shard as shard_mod
 
         spec = fleet_spec(3)  # waves 6/6/12 -> shards 2/2/4 of 3 vehicles
         directory = str(tmp_path / "ckpt")
-        fp = FaultPoints().arm("checkpoint.record_written", after=3)
+        fault_points.arm("checkpoint.record_written", after=3)
         with pytest.raises(CheckpointCrash):
-            FleetCampaign(
-                spec, checkpoint=CheckpointSpec(directory), fault_points=fp,
-            ).run()
+            FleetCampaign(spec, checkpoint=CheckpointSpec(directory)).run()
         reference = canonical(run_fleet_campaign(fleet_spec(3)).campaign_digest)
         # 4 records durable (the crash fires after the 4th rename) -> 12
         # of 24 vehicles are already on disk
@@ -130,7 +122,8 @@ class TestResumeMatrix:
     @pytest.mark.parametrize("crash_after", [2, None])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_default_shard_size_resumes_on_any_worker_count(
-        self, tmp_path, monkeypatch, reference_digest, workers, crash_after
+        self, tmp_path, monkeypatch, reference_digest, workers, crash_after,
+        fault_points,
     ):
         """With no ``shard_size``, a checkpoint written on ``workers``
         workers and resumed inline re-simulates exactly the vehicles of
@@ -139,14 +132,12 @@ class TestResumeMatrix:
 
         spec = fleet_spec(None)
         directory = str(tmp_path / "ckpt")
-        fp = FaultPoints()
         if crash_after is not None:
-            fp.arm("checkpoint.record_written", after=crash_after)
+            fault_points.arm("checkpoint.record_written", after=crash_after)
         executor = ParallelExecutor(workers=workers)
         try:
             FleetCampaign(spec, executor=executor,
-                          checkpoint=CheckpointSpec(directory),
-                          fault_points=fp).run()
+                          checkpoint=CheckpointSpec(directory)).run()
         except CheckpointCrash:
             pass
         finally:
@@ -198,8 +189,29 @@ class TestResumeMatrix:
         assert campaign.store.dropped == len(foreign) == 7
         assert len(campaign.store.load()) == 8  # shards of 3 in waves 6/6/12
 
+    def test_resume_counts_a_torn_record_once(self, tmp_path):
+        """The campaign loads its store once per wave; ``discarded``
+        describes the last load, so one torn record reads as one."""
+        spec = FleetCampaignSpec(
+            fleet=FleetSpec(name="torn", size=12, soak_time=0.02,
+                            master_seed=13),
+            stages=(0.25, 0.5, 1.0), shard_size=3,
+        )
+        reference = canonical(run_fleet_campaign(spec).campaign_digest)
+        directory = str(tmp_path / "ckpt")
+        run_fleet_campaign(spec, checkpoint=CheckpointSpec(directory))
+        records = sorted(n for n in os.listdir(directory)
+                         if n.endswith(".ckpt"))
+        assert len(records) == 4  # waves 3/3/6 -> shards 1/1/2 of 3
+        with open(os.path.join(directory, records[-1]), "r+b") as fh:
+            fh.truncate(10)
+        campaign = FleetCampaign(spec, checkpoint=CheckpointSpec(directory))
+        assert canonical(campaign.run().campaign_digest) == reference
+        store = campaign.store
+        assert (store.discarded, store.loaded, store.written) == (1, 3, 1)
+
     def test_crash_during_rollback_resumes_halt_and_rollback(
-        self, tmp_path
+        self, tmp_path, fault_points
     ):
         """A halted campaign killed mid-rollback must resume to the same
         halted, rolled-back state and digest."""
@@ -209,11 +221,9 @@ class TestResumeMatrix:
         directory = str(tmp_path / "ckpt")
         # wave 1 = 6 vehicles = 2 new-tag shards; the 3rd record is the
         # first rollback (old-tag) shard — crash right after it
-        fp = FaultPoints().arm("checkpoint.record_written", after=2)
+        fault_points.arm("checkpoint.record_written", after=2)
         with pytest.raises(CheckpointCrash):
-            FleetCampaign(
-                spec, checkpoint=CheckpointSpec(directory), fault_points=fp,
-            ).run()
+            FleetCampaign(spec, checkpoint=CheckpointSpec(directory)).run()
         result = resume_campaign(directory)
         assert result.halted and result.rolled_back
         assert result.vehicles_updated == reference.vehicles_updated
@@ -224,17 +234,17 @@ class TestResumeMatrix:
             w.tag for w in reference.waves
         ]
 
-    def test_every_n_shards_batching_still_resumes_exactly(self, tmp_path):
+    def test_every_n_shards_batching_still_resumes_exactly(self, tmp_path,
+                                                           fault_points):
         """Coarser flush granularity widens the recompute window but
         never changes the resumed digest."""
         spec = fleet_spec(3)
         reference = canonical(run_fleet_campaign(spec).campaign_digest)
         directory = str(tmp_path / "ckpt")
-        fp = FaultPoints().arm("checkpoint.flush", after=1)
+        fault_points.arm("checkpoint.flush", after=1)
         with pytest.raises(CheckpointCrash):
             FleetCampaign(
                 spec, checkpoint=CheckpointSpec(directory, every_n_shards=2),
-                fault_points=fp,
             ).run()
         result = resume_campaign(directory)
         assert canonical(result.campaign_digest) == reference
@@ -259,34 +269,35 @@ CHAOS_PLAN = FaultPlan(
 
 
 class TestOtherCampaignKinds:
-    def test_fault_campaign_crash_resume_equivalence(self, tmp_path):
+    def test_fault_campaign_crash_resume_equivalence(self, tmp_path,
+                                                     fault_points):
         spec = FaultCampaignSpec(plan=CHAOS_PLAN, soak_time=0.15)
         reference = run_fault_campaign(spec, replications=4, master_seed=7)
         directory = str(tmp_path / "faults")
-        fp = FaultPoints().arm("checkpoint.record_written", after=1)
+        fault_points.arm("checkpoint.record_written", after=1)
         with pytest.raises(CheckpointCrash):
             run_fault_campaign(
                 spec, replications=4, master_seed=7,
-                checkpoint=CheckpointSpec(directory), fault_points=fp,
+                checkpoint=CheckpointSpec(directory),
             )
-        resumed = resume_fault_campaign(directory)
+        resumed = resume_campaign(directory)
         assert resumed.outcomes == reference.outcomes
         assert resumed.digest["metrics"] == reference.digest["metrics"]
         assert load_manifest(directory)["kind"] == "fault_campaign"
 
-    def test_sweep_crash_resume_equivalence(self, tmp_path):
+    def test_sweep_crash_resume_equivalence(self, tmp_path, fault_points):
         spec = CampaignSpec(fleet_size=2, soak_time=0.2, settle_time=0.1,
                             target_wcet=0.004, target_wcet_jitter=0.004,
                             target_deadline=0.002)
         reference = sweep_campaigns(spec, replications=3, master_seed=5)
         directory = str(tmp_path / "sweep")
-        fp = FaultPoints().arm("checkpoint.record_written", after=0)
+        fault_points.arm("checkpoint.record_written", after=0)
         with pytest.raises(CheckpointCrash):
             sweep_campaigns(
                 spec, replications=3, master_seed=5,
-                checkpoint=CheckpointSpec(directory), fault_points=fp,
+                checkpoint=CheckpointSpec(directory),
             )
-        resumed = resume_sweep(directory)
+        resumed = resume_campaign(directory)
         assert resumed.outcomes == reference.outcomes
         assert resumed.digest["metrics"] == reference.digest["metrics"]
         assert load_manifest(directory)["kind"] == "campaign_sweep"
