@@ -1,5 +1,6 @@
 """Timed gates: throughput floors and overhead ceilings, as pytest tests,
-and one deterministic count (heap pushes per soaked vehicle).
+and two deterministic counts (heap pushes per soaked vehicle, Python
+calls per soaked job).
 
 Run with the rest of the experiment benchmarks::
 
@@ -69,6 +70,11 @@ IDLE_INJECTOR_OVERHEAD_CEILING = 0.05
 #: push per kernel event reads ~415; activation trains read ~20
 SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING = 32
 SOAK_VEHICLES = 30
+#: profiled calls (built-ins included) per seed-0 ``fleet_soak`` job, as
+#: ``callcount.drive_fleet_soak()`` counts them: 39.2 before a job's
+#: settle, release and hold became one pass through ``Core._turnover``,
+#: 26.1 after
+SOAK_CALLS_PER_JOB_CEILING = 27.0
 
 CPUS = os.cpu_count() or 1
 multi_core = pytest.mark.skipif(
@@ -319,3 +325,13 @@ def test_soak_heap_pushes_per_vehicle():
     assert pushes <= SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING, (
         f"{pushes:.1f} heap pushes per soaked vehicle > ceiling "
         f"{SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING}")
+
+
+def test_soak_calls_per_job():
+    """A periodic release settles the previous job's held completion,
+    dispatches the new job and holds its completion in one pass through
+    ``Core._turnover``; the per-job call count holds that path flat."""
+    per_job = callcount.drive_fleet_soak().per_job
+    assert per_job <= SOAK_CALLS_PER_JOB_CEILING, (
+        f"{per_job:.2f} calls per soaked job > ceiling "
+        f"{SOAK_CALLS_PER_JOB_CEILING}")

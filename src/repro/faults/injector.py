@@ -306,7 +306,9 @@ class FaultInjector:
         for spec in specs:
             if spec.probability < 1.0 and stream.random() >= spec.probability:
                 continue
-            self._m_events.inc()
+            m = self._m_events
+            if m._enabled:
+                m.value += 1.0
             now = self.sim.now
             if spec.kind == KIND_FRAME_DROP:
                 self._record(now, spec.kind, bus.name, "drop")
@@ -333,18 +335,19 @@ class FaultInjector:
         if stream is None:
             stream = self.rng.stream(f"{self.stream}.task.{name}")
             self._task_streams[name] = stream
-        now = self.sim.now
-        timeline = self.timeline
         for spec in specs:
             if spec.probability < 1.0 and stream.random() >= spec.probability:
                 continue
-            self._m_events.inc()
+            m = self._m_events
+            if m._enabled:
+                m.value += 1.0
             if spec.kind == KIND_TASK_OVERRUN:
                 scaled_wcet *= 1.0 + spec.magnitude
-                timeline.append((now, spec.kind, name, "overrun"))
+                action = "overrun"
             else:
                 release_delay += stream.uniform(0.0, spec.magnitude)
-                timeline.append((now, spec.kind, name, "jitter"))
+                action = "jitter"
+            self.timeline.append((self.sim.now, spec.kind, name, action))
         return scaled_wcet, release_delay
 
     # -- queries ------------------------------------------------------------

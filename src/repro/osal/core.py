@@ -41,19 +41,19 @@ class SchedulingPolicy:
     def pick_sole(self, job: Job, now: float) -> Optional[Job]:
         """``pick([job], now)`` for an idle core with nothing else ready.
 
-        :meth:`Core.submit` asks this instead of building a candidate
-        list.  An override must return what ``pick([job], now)`` would
-        and leave the policy in the same state.
+        A release onto an idle core (:meth:`Core._turnover`) asks this
+        instead of building a candidate list.  An override must return
+        what ``pick([job], now)`` would and leave the policy in the same
+        state.
         """
         return self.pick([job], now)
 
     def idle(self, now: float) -> None:
         """``pick([], now)`` for a core left with no job at all.
 
-        :meth:`Core._finish_current` calls this instead of
-        ``_reschedule`` when the finished job leaves the ready list
-        empty; an override must leave the policy in the state
-        ``pick([], now)`` would.
+        A job's finish (:meth:`Core._turnover`) calls this instead of
+        ``_reschedule`` when it leaves the ready list empty; an override
+        must leave the policy in the state ``pick([], now)`` would.
         """
         self.pick([], now)
 
@@ -94,23 +94,26 @@ class Core:
 
     A job takes one path.  It is dispatched by :meth:`_start_running`,
     whether it arrives on an idle core, wins a ``_reschedule`` or
-    resumes after a preemption or a quantum, and it finishes through
-    :meth:`_finish_current`.  ``_start_running`` arms one timer per
-    dispatch: a quantum cut if the policy slices the job; else the
-    completion, held back from the event queue when nothing can observe
-    it (``run()`` is dispatching, nothing else is ready, no completion
-    listener, tracer off, no sanitizer); else the completion event.
-    Every public entry settles a held completion first
-    (:meth:`settle_deferred`).
+    resumes after a preemption or a quantum.  ``_start_running`` arms
+    one timer per dispatch: a quantum cut if the policy slices the job;
+    else the completion, held back from the event queue when nothing can
+    observe it (``run()`` is dispatching, nothing else is ready, no
+    completion listener, tracer off, no sanitizer); else the completion
+    event.  Every job finishes in the settle step of :meth:`_turnover`,
+    and every public entry settles a held completion first.  A periodic
+    release is one pass through ``_turnover``: the previous job's held
+    completion settles in place, and the new job goes onto the idle core,
+    where ``_start_running`` holds its completion in turn.
     """
 
     #: finish instant of a completion held back from the event queue (see
-    #: :meth:`settle_deferred`), and its reserved sequence number.  Class
-    #: defaults: a core that never holds one back carries neither, so
-    #: building and snapshotting idle cores costs nothing extra.
-    #: ``_due_seq`` is ``None`` until the first one.
+    #: :meth:`_turnover`), its sequence number, and whether the core is
+    #: registered as a settler with its kernel.  Class defaults: a core
+    #: that never holds one back carries none of them, so building and
+    #: snapshotting idle cores costs nothing extra.
     _due: Optional[float] = None
     _due_seq: Optional[int] = None
+    _settler = False
 
     #: per-core instrument handles, ``None`` until first used: the core
     #: reserves its instruments at construction and :meth:`_materialise`
@@ -177,35 +180,7 @@ class Core:
 
     def submit(self, job: Job) -> None:
         """Release ``job`` on this core."""
-        if self.halted:
-            return
-        sim = self.sim
-        if self._due is not None:
-            # _touch, inlined on the per-job path
-            call = sim.dispatching
-            self.settle_deferred(call.time, call.priority, call.seq)
-        (self._m_releases or self._materialise("_m_releases")).inc()
-        # guarded like every per-event trace: no kwargs dict when off
-        if sim.tracer.enabled:
-            sim.trace(
-                "os.release",
-                core=self.name,
-                task=job.task.name,
-                job=job.job_id,
-                deadline=job.absolute_deadline,
-            )
-        ready = self.ready
-        if self.current is None and not ready:
-            # idle core: ``job`` is the only candidate, so the policy is
-            # asked about it alone, without a candidate list
-            if self.policy.pick_sole(job, sim.now) is job:
-                self.current = job
-                self._start_running(job)
-                return
-            # declined (an exhausted budget): queue it and let the
-            # general path park the core
-        ready.append(job)
-        self._reschedule()
+        self._turnover(self.sim.dispatching, job)
 
     def submit_task_activation(self, task: TaskSpec, scaled_wcet: float) -> Job:
         """Create and release a job for ``task`` at the current instant."""
@@ -222,7 +197,7 @@ class Core:
             # injected release jitter produces genuine deadline pressure
             sim.post(release_delay, self.submit, job)
         else:
-            self.submit(job)
+            self._turnover(sim.dispatching, job)
         return job
 
     def set_clock_drift(self, drift: float) -> None:
@@ -286,30 +261,125 @@ class Core:
             busy += self.sim.now - self._run_started_at
         return busy / self.sim.now
 
-    # -- deferred completion ---------------------------------------------------
+    # -- job turnover ----------------------------------------------------------
 
-    def settle_deferred(self, time: float, priority: int, seq: int) -> bool:
-        """Resolve a held-back completion against the event key
-        ``(time, priority, seq)`` (the kernel's settler protocol).
+    def settle_deferred(self, key: ScheduledCall) -> bool:
+        """Resolve a held-back completion against the event ``key`` (the
+        kernel's settler protocol): see :meth:`_turnover`."""
+        return self._turnover(key, None)
 
-        If the completion sorts before that key, it would already have
-        been dispatched, and nothing has looked at the core since: finish
-        the job in place, at its due instant, through the helper
-        :meth:`_complete` uses.  Otherwise push the completion event with
-        its reserved sequence number and return ``True``.
+    def _touch(self) -> None:
+        """Resolve a held-back completion against the event in dispatch,
+        before anything reads or changes the core."""
+        if self._due is not None:
+            self._turnover(self.sim.dispatching, None)
+
+    def _turnover(self, key: Optional[ScheduledCall], job: Optional[Job]) -> bool:
+        """Settle the core's completion against the event ``key``, then
+        release ``job`` if one is given.  Without a job, returns whether
+        the held completion was pushed onto the event queue (the kernel's
+        settler protocol).
+
+        *Settle.*  A completion due at ``(_due, PRIORITY_NORMAL,
+        _due_seq)`` that sorts at or before ``key`` happens here: it was
+        held and would already have been dispatched (so it counts in
+        ``sim.events`` here), or it is the event in dispatch itself (see
+        :meth:`_finish_at`).  This is where every job finishes: busy
+        time, trimmed history, response histogram, miss counter, trace
+        record and listeners, then the policy chooses what runs next.  A
+        held completion that sorts after ``key`` is pushed instead.
+
+        *Release.*  ``job`` is counted and traced.  On an idle core with
+        nothing else ready the policy is asked about it alone
+        (:meth:`SchedulingPolicy.pick_sole`) and an accepted job is
+        dispatched; otherwise it joins the ready list and the core
+        reschedules.  ``key`` is read only when a completion is due, so
+        a caller without one may pass ``Simulator.dispatching`` unset.
         """
+        sim = self.sim
         due = self._due
-        if due is None:
+        if due is not None:
+            self._due = None
+            due_seq = self._due_seq
+            time = key.time
+            if due < time or (due == time and (PRIORITY_NORMAL, due_seq)
+                              <= (key.priority, key.seq)):
+                if key.seq != due_seq:
+                    m = sim.events_counter
+                    if m._enabled:
+                        m.value += 1.0
+                done = self.current
+                self.busy_time += due - self._run_started_at
+                done.remaining = 0.0
+                self.current = None
+                done.finish_time = due
+                completed = self.completed_jobs
+                completed.append(done)
+                limit = self.job_history_limit
+                if limit is not None:
+                    excess = len(completed) - limit
+                    if excess > 0:
+                        del completed[:excess]
+                # the Job.response_time / Job.missed_deadline formulas
+                response = due - done.release_time
+                missed = due > done.absolute_deadline + 1e-12
+                (self._m_response
+                 or self._materialise("_m_response")).observe(response)
+                if missed:
+                    m = self._m_misses or self._materialise("_m_misses")
+                    if m._enabled:
+                        m.value += 1.0
+                if sim.tracer.enabled:
+                    sim.trace(
+                        "os.done",
+                        core=self.name,
+                        task=done.task.name,
+                        job=done.job_id,
+                        response=response,
+                        missed=missed,
+                        jitter=done.start_jitter,
+                    )
+                for listener in self._completion_listeners:
+                    listener(done)
+                if self.current is None and not self.ready and not self.halted:
+                    # nothing left to choose from (a completion listener
+                    # may have released or halted): _reschedule would
+                    # only run pick([])
+                    self.policy.idle(due)
+                else:
+                    self._reschedule()
+            else:
+                self._completion = sim.queue.push(
+                    due, self._complete, (), PRIORITY_NORMAL, due_seq)
+                if job is None:
+                    return True
+        if job is None or self.halted:
             return False
-        self._due = None
-        if due < time or (due == time and (PRIORITY_NORMAL, self._due_seq)
-                          < (priority, seq)):
-            self.sim.events_counter.inc()
-            self._finish_current(due)
-            return False
-        self._completion = self.sim.queue.push(
-            due, self._complete, (), PRIORITY_NORMAL, self._due_seq)
-        return True
+        m = self._m_releases or self._materialise("_m_releases")
+        if m._enabled:
+            m.value += 1.0
+        # guarded like every per-event trace: no kwargs dict when off
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.release",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                deadline=job.absolute_deadline,
+            )
+        ready = self.ready
+        if self.current is None and not ready:
+            # idle core: ``job`` is the only candidate, so the policy is
+            # asked about it alone, without a candidate list
+            if self.policy.pick_sole(job, sim.now) is job:
+                self.current = job
+                self._start_running(job)
+                return False
+            # declined (an exhausted budget): queue it and let the
+            # general path park the core
+        ready.append(job)
+        self._reschedule()
+        return False
 
     def _materialise(self, attr: str) -> Instrument:
         """Make the reserved instrument behind handle ``attr`` private in
@@ -317,13 +387,6 @@ class Core:
         instrument = self.sim.metrics.materialise(_core_keys(self.name)[attr])
         setattr(self, attr, instrument)
         return instrument
-
-    def _touch(self) -> None:
-        """Resolve a held-back completion against the event in dispatch,
-        before anything reads or changes the core."""
-        if self._due is not None:
-            call = self.sim.dispatching
-            self.settle_deferred(call.time, call.priority, call.seq)
 
     # -- engine ----------------------------------------------------------------
 
@@ -382,7 +445,9 @@ class Core:
             # never actually executed, so it has not "started" yet
             job.start_time = None
         job.preemptions += 1
-        (self._m_preemptions or self._materialise("_m_preemptions")).inc()
+        m = self._m_preemptions or self._materialise("_m_preemptions")
+        if m._enabled:
+            m.value += 1.0
         self.ready.append(job)
         self.current = None
         if self.sim.tracer.enabled:
@@ -393,7 +458,7 @@ class Core:
     def _start_running(self, job: Job) -> None:
         """Dispatch ``job`` and arm its one timer: a quantum cut if the
         policy slices it, else its completion, held back while nothing
-        can observe the finish (see :meth:`settle_deferred`)."""
+        can observe the finish (see :meth:`_turnover`)."""
         sim = self.sim
         now = sim.now
         if job.start_time is None:
@@ -414,8 +479,9 @@ class Core:
             # nothing else is ready and nothing can observe the finish:
             # hold the completion back, keeping its place in the event
             # order, and settle it when something next touches the core
-            if self._due_seq is None:
+            if not self._settler:
                 sim.add_settler(self)  # the first one it holds
+                self._settler = True
             self._due = now + run_for
             self._due_seq = sim.queue.reserve()
         else:
@@ -442,14 +508,16 @@ class Core:
 
     def _quantum_expired(self) -> None:
         # currently dispatching and about to be dropped: recycle it
-        self._quantum_call.pooled = True
+        call = self._quantum_call
+        call.pooled = True
         self._quantum_call = None
         job = self.current
         now = self.sim.now
         elapsed = now - self._run_started_at
         remaining = job.remaining - elapsed
         if remaining <= 1e-12:
-            self._finish_current(now)
+            # no demand left: the cut is the job's completion
+            self._finish_at(call)
             return
         job.remaining = remaining
         self.busy_time += elapsed
@@ -461,52 +529,18 @@ class Core:
 
     def _complete(self) -> None:
         # currently dispatching and about to be dropped: recycle it
-        self._completion.pooled = True
+        call = self._completion
+        call.pooled = True
         self._completion = None
-        self._finish_current(self.sim.now)
+        self._finish_at(call)
 
-    def _finish_current(self, now: float) -> None:
-        """Finish the running job at ``now`` and choose what runs next.
-
-        The one completion path: for a completion event, a held
-        completion settled in place and a quantum cut that leaves no
-        demand alike.
-        """
-        job = self.current
-        self.busy_time += now - self._run_started_at
-        job.remaining = 0.0
-        self.current = None
-        job.finish_time = now
-        completed = self.completed_jobs
-        completed.append(job)
-        limit = self.job_history_limit
-        if limit is not None and len(completed) > limit:
-            del completed[: len(completed) - limit]
-        # the Job.response_time / Job.missed_deadline formulas, computed once
-        response = now - job.release_time
-        missed = now > job.absolute_deadline + 1e-12
-        (self._m_response or self._materialise("_m_response")).observe(response)
-        if missed:
-            (self._m_misses or self._materialise("_m_misses")).inc()
-        sim = self.sim
-        if sim.tracer.enabled:
-            sim.trace(
-                "os.done",
-                core=self.name,
-                task=job.task.name,
-                job=job.job_id,
-                response=response,
-                missed=missed,
-                jitter=job.start_jitter,
-            )
-        for listener in self._completion_listeners:
-            listener(job)
-        if self.current is None and not self.ready and not self.halted:
-            # nothing left to choose from (a completion listener may have
-            # released or halted): _reschedule would only run pick([])
-            self.policy.idle(now)
-        else:
-            self._reschedule()
+    def _finish_at(self, call: ScheduledCall) -> None:
+        """Finish the running job at ``call``, the event in dispatch (its
+        completion, or a quantum cut that found no demand left): due at
+        its own key, it settles in place, counted once, by the kernel."""
+        self._due = call.time
+        self._due_seq = call.seq
+        self._turnover(call, None)
 
 
 class PeriodicSource:
@@ -522,7 +556,9 @@ class PeriodicSource:
     (:meth:`Simulator.dispatch_in_place`); it pushes the first one that
     is not.  That one comparison ends the train at a completion event or
     a delayed release it pushed itself, at another source's activation
-    and at ``run``'s ``until`` alike.
+    and at ``run``'s ``until`` alike.  Each activation's job comes from
+    :meth:`Core.submit_task_activation`, one pass through the core's job
+    turnover (see :class:`Core`).
     """
 
     def __init__(
@@ -546,12 +582,9 @@ class PeriodicSource:
         self.jitter_draw = jitter_draw
         self.horizon = horizon
         self.jobs: List[Job] = []
-        #: total jobs released, including any trimmed out of ``jobs``
-        #: under the core's ``job_history_limit``
-        self.released = 0
-        # finished jobs folded out of ``jobs`` by trimming; miss_count()
-        # and miss_ratio() stay exact, finished_jobs()/response_times()
-        # cover only the retained window
+        # finished jobs folded out of ``jobs`` by trimming; released,
+        # miss_count() and miss_ratio() stay exact,
+        # finished_jobs()/response_times() cover only the retained window
         self._folded_finished = 0
         self._folded_misses = 0
         self.stopped = False
@@ -577,7 +610,8 @@ class PeriodicSource:
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
         # never in the past, so sim.at's check is moot on the push
-        return max(when, self.sim.now)
+        now = self.sim.now
+        return now if now > when else when
 
     def _push_activation(self, when: float) -> None:
         # nobody keeps the handle (stop() is a flag, not a cancel), so
@@ -612,31 +646,33 @@ class PeriodicSource:
         core = self.core
         jobs = self.jobs
         jobs.append(core.submit_task_activation(self.task, self.scaled_wcet))
-        self.released += 1
         limit = core.job_history_limit
         if limit is None:
             return
         # fold the oldest *finished* jobs beyond the limit into aggregate
         # counters (Job.finished / Job.missed_deadline, read as plain
         # fields); unfinished jobs are never dropped, so
-        # unfinished_past_deadline() stays exact too
+        # unfinished_past_deadline() stays exact too.  One release folds
+        # at most one job unless an unfinished one held the fold back
         excess = len(jobs) - limit
-        keep_from = 0
-        misses = 0
-        while keep_from < excess:
-            job = jobs[keep_from]
+        while excess > 0:
+            job = jobs[0]
             finish = job.finish_time
             if finish is None:
                 break
+            self._folded_finished += 1
             if finish > job.absolute_deadline + 1e-12:
-                misses += 1
-            keep_from += 1
-        if keep_from:
-            self._folded_finished += keep_from
-            self._folded_misses += misses
-            del jobs[:keep_from]
+                self._folded_misses += 1
+            del jobs[0]
+            excess -= 1
 
     # -- metrics ---------------------------------------------------------------
+
+    @property
+    def released(self) -> int:
+        """Total jobs released, including any trimmed out of ``jobs``
+        under the core's ``job_history_limit``."""
+        return self._folded_finished + len(self.jobs)
 
     def finished_jobs(self) -> List[Job]:
         """Finished jobs in the retained window (trimming drops oldest)."""

@@ -35,7 +35,8 @@ class TaskSpec:
         period: activation interval in seconds.  For non-deterministic
             tasks this is the *average* inter-arrival time.
         wcet: worst-case execution time on the 200 MHz reference core.
-        deadline: relative deadline; defaults to the period.
+        deadline: relative deadline; defaults to the period (the
+            resulting value is ``effective_deadline``).
         offset: release offset of the first activation.
         jitter_tolerance: maximum tolerated start-time jitter for
             deterministic tasks (used by the runtime monitor).
@@ -54,8 +55,14 @@ class TaskSpec:
     criticality: Criticality = Criticality.DETERMINISTIC
     priority: Optional[int] = None
     memory_kib: float = 16.0
+    #: relative deadline: ``deadline``, or the period without one.  Set
+    #: by ``__post_init__``; a field, not a property, because a core
+    #: reads it for every job it builds
+    effective_deadline: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "effective_deadline",
+                           self.period if self.deadline is None else self.deadline)
         if self.period <= 0:
             raise ConfigurationError(f"task {self.name!r}: period must be positive")
         if self.wcet <= 0:
@@ -68,11 +75,6 @@ class TaskSpec:
             )
         if self.offset < 0:
             raise ConfigurationError(f"task {self.name!r}: negative offset")
-
-    @property
-    def effective_deadline(self) -> float:
-        """Relative deadline (defaults to the period)."""
-        return self.deadline if self.deadline is not None else self.period
 
     @property
     def utilization(self) -> float:

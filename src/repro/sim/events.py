@@ -118,6 +118,13 @@ class EventQueue:
         # mutable entry can be recycled together with its pooled call
         self._heap: List[list] = []
         self._counter = itertools.count()
+        #: ``reserve()`` takes the sequence number a push at this point
+        #: would get.  An event held back from the heap keeps its place
+        #: among equal ``(time, priority)`` keys with it, and a later
+        #: ``push(..., seq=reserved)`` inserts it exactly where it would
+        #: have been.  The counter's own ``__next__``: no Python frame on
+        #: the per-job path of a core that holds its completions.
+        self.reserve: Callable[[], int] = self._counter.__next__
         #: cancelled calls still sitting in the heap awaiting lazy removal
         self._cancelled_in_heap = 0
         #: free list of dispatched fire-and-forget calls awaiting reuse
@@ -220,7 +227,7 @@ class EventQueue:
         that drops the handle sets :attr:`ScheduledCall.pooled` first, so
         the queue can reuse it once it has fired or its cancelled entry
         has left the heap.  ``seq`` is a number taken earlier with
-        :meth:`reserve`; by default the call takes the next one.
+        ``reserve()``; by default the call takes the next one.
         """
         if seq is None:
             seq = next(self._counter)
@@ -246,16 +253,6 @@ class EventQueue:
             self.pool_creations += 1
         heapq.heappush(self._heap, entry)
         return call
-
-    def reserve(self) -> int:
-        """Take the sequence number a push at this point would get.
-
-        An event held back from the heap keeps its place among equal
-        ``(time, priority)`` keys with it, and a later
-        ``push(..., seq=reserved)`` inserts it exactly where it would
-        have been.
-        """
-        return next(self._counter)
 
     def push_pooled(
         self,

@@ -331,9 +331,11 @@ class Simulator:
         self._session_ids = itertools.count(1)
         #: sim-local network frame ids, for the same reason
         self._frame_ids = itertools.count(1)
-        #: sim-local OS job ids, for the same reason (job ids appear in
-        #: the trace via ``os.release`` / ``os.complete``)
-        self._job_ids = itertools.count(1)
+        #: ``next_job_id()`` allocates a sim-local OS job id, for the same
+        #: reason (job ids appear in the trace via ``os.release`` /
+        #: ``os.done``).  The counter's own ``__next__``: a core builds a
+        #: job per activation, and this costs it no Python frame.
+        self.next_job_id: Callable[[], int] = itertools.count(1).__next__
 
     # -- snapshot / world registry ----------------------------------------
 
@@ -372,12 +374,12 @@ class Simulator:
 
         During :meth:`run` such an object may keep an event it would
         have pushed, together with a sequence number taken with
-        :meth:`EventQueue.reserve`, as long as nothing can observe the
+        ``EventQueue.reserve()``, as long as nothing can observe the
         event.  It resolves the event itself when anything touches it,
         and :meth:`run` resolves it before it returns.  ``obj`` provides
-        ``settle_deferred(time, priority, seq) -> bool``: it performs
-        the held event in place if the event sorts before the key
-        ``(time, priority, seq)``, and otherwise pushes it with its
+        ``settle_deferred(key) -> bool``: it performs the held event in
+        place if the event sorts before ``key`` (its ``time``,
+        ``priority`` and ``seq``), and otherwise pushes it with its
         reserved number and returns ``True``.  Register once, before the
         first event the object holds back.
 
@@ -423,9 +425,11 @@ class Simulator:
                 return False
         call.time = time
         call.priority = priority
-        call.seq = next(queue._counter)  # EventQueue.reserve, inlined
+        call.seq = queue.reserve()
         self.now = time
-        self.events_counter.inc()
+        m = self.events_counter
+        if m._enabled:
+            m.value += 1.0
         return True
 
     def next_session_id(self) -> int:
@@ -435,10 +439,6 @@ class Simulator:
     def next_frame_id(self) -> int:
         """Allocate a sim-local network frame id."""
         return next(self._frame_ids)
-
-    def next_job_id(self) -> int:
-        """Allocate a sim-local OS job id."""
-        return next(self._job_ids)
 
     def snapshot(self) -> "SimSnapshot":
         """Capture a reusable frozen copy of the whole world.
@@ -563,7 +563,7 @@ class Simulator:
                     san.on_tie(call, head[3])
         m = self.events_counter
         if m._enabled:
-            m.inc()
+            m.value += 1.0
         profiler = self.profiler
         if profiler is None:
             call.callback(*call.args)
@@ -636,7 +636,7 @@ class Simulator:
                         if head[0] == t and head[1] == call.priority:
                             san.on_tie(call, head[3])
                 if m._enabled:
-                    m.inc()
+                    m.value += 1.0
                 profiler = self.profiler
                 if profiler is None:
                     call.callback(*call.args)
@@ -673,13 +673,13 @@ class Simulator:
         call = self.dispatching
         if call is None:
             return False
-        # read the key and let go of the call first: a settler's push
-        # may reuse it from the free list
-        t, p, s = call.time, call.priority, call.seq
+        # settle against a copy of its key and let go of the call: a
+        # settler's push may reuse it from the free list
+        key = ScheduledCall(call.time, call.priority, call.seq, None, ())
         self.dispatching = None
         pushed = False
         for settler in self._settlers:
-            if settler.settle_deferred(t, p, s):
+            if settler.settle_deferred(key):
                 pushed = True
         return pushed
 

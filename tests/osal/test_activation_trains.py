@@ -7,9 +7,14 @@ makes no train and holds no completion, so the same world driven by a
 ``step()`` loop pushes and dispatches every event: the oracle.  Worlds
 put several sources on one or two cores, with activation jitter,
 overruns and delayed releases, clock drift, a halt and resume, a late
-completion listener, the tracer, and ``run()`` split in two.  The job
-tables, the core and policy state, the metrics (``sim.events``
+completion listener, the tracer, ``run()`` split in two, and the fleet's
+configuration: a 16-job history limit and a disabled metrics registry.
+The job tables, the released and folded counts and the miss counts of
+each source, the core and policy state, the metrics (``sim.events``
 included), the trace records and the sequence numbers taken must agree.
+Both worlds must also keep what the limit and the disabled registry
+promise: no core retains more than 16 finished jobs, and nothing is
+counted.
 
 The pinned cases end a train at each thing that can end one: another
 source's activation at the same instant, a pushed completion, a delayed
@@ -69,13 +74,18 @@ class Draws:
 
 
 def build(policy_name, params, n_cores=1, jitter=None, perturb=None,
-          drift=None, halt=None, late=None, trace=False):
+          drift=None, halt=None, late=None, trace=False, history=None,
+          metrics=True):
     """One world: ``params``' tasks dealt round-robin over ``n_cores``
-    cores, the even-numbered sources jittered, and core 0 perturbed,
-    halted and given a late completion listener that logs."""
-    sim = Simulator(Tracer(enabled=trace), metrics=MetricsRegistry())
+    cores, each keeping ``history`` finished jobs (all for ``None``), the
+    even-numbered sources jittered, and core 0 perturbed, halted and
+    given a late completion listener that logs."""
+    sim = Simulator(Tracer(enabled=trace),
+                    metrics=MetricsRegistry(enabled=metrics))
     cores = [Core(sim, f"core{i}", 1.0, POLICIES[policy_name]())
              for i in range(n_cores)]
+    for core in cores:
+        core.job_history_limit = history
     if perturb is not None:
         cores[0].fault_perturb = Perturb(*perturb)
     sources = []
@@ -122,6 +132,8 @@ def outcome(sim):
                   j.start_time, j.finish_time, j.preemptions, j.remaining)
                  for j in jobs],
         "released": [s.released for s in sources],
+        "folded": [(s._folded_finished, s._folded_misses) for s in sources],
+        "misses": [s.miss_count() for s in sources],
         "cores": [(c.busy_time,
                    None if c.current is None else c.current.job_id,
                    [j.job_id for j in c.ready],
@@ -134,6 +146,19 @@ def outcome(sim):
         "seq": sim.queue.reserve(),
         "now": sim.now,
     }
+
+
+def check_promises(sim):
+    """A core keeps at most ``job_history_limit`` finished jobs, and a
+    disabled registry counts nothing."""
+    for core in sim.world["cores"]:
+        limit = core.job_history_limit
+        if limit is not None:
+            assert len(core.completed_jobs) <= limit
+    if not sim.metrics.enabled:
+        snap = sim.metrics.snapshot()
+        assert all(c["value"] == 0.0 for c in snap.get("counter", {}).values())
+        assert all(h["count"] == 0 for h in snap.get("histogram", {}).values())
 
 
 def pushes(sim):
@@ -149,6 +174,8 @@ def compare(world, split=None):
     for until in ends:
         ran.run(until=until)
         step_until(stepped, until)
+    check_promises(ran)
+    check_promises(stepped)
     return outcome(ran), pushes(ran), outcome(stepped), pushes(stepped)
 
 
@@ -169,13 +196,16 @@ class TestTrainsMatchStepping:
         st.one_of(st.none(), instants),
         st.booleans(),
         st.one_of(st.none(), instants),
+        st.sampled_from((None, 16)),
+        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
     def test_random_worlds(self, policy_name, params, n_cores, jitter,
-                           perturb, drift, halt, late, trace, split):
+                           perturb, drift, halt, late, trace, split,
+                           history, metrics):
         def world():
             return build(policy_name, params, n_cores, jitter, perturb,
-                         drift, halt, late, trace)
+                         drift, halt, late, trace, history, metrics)
 
         ran, ran_pushes, stepped, stepped_pushes = compare(world, split)
         assert ran == stepped
@@ -188,6 +218,8 @@ class TestTrainsMatchStepping:
              "drift": (0.0125, 1e-3), "late": 0.03, "trace": True},
             {"perturb": ([0.0, 2.0], [0.0, 0.0013]), "halt": (0.0105, 0.006),
              "late": 0.02},
+            {"n_cores": 2, "perturb": ([0.0, 0.5], [0.0, 0.0045]),
+             "history": 16, "metrics": False},
         )
         for params in CASES + (LIGHT,):
             for policy_name in POLICIES:
