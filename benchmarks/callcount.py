@@ -7,6 +7,7 @@ standard library; ``coverage`` is not a dependency) and reports:
 
 * every call the profiler sees, built-ins included, and the calls per
   job when the driver says how many jobs it ran;
+* the heap pushes (``EventQueue.push`` calls), and per job likewise;
 * the most-called ``repro`` functions;
 * with ``--unreached``, every function defined under ``src/repro`` that
   the driver never called: the candidates a prune must justify.
@@ -14,6 +15,7 @@ standard library; ``coverage`` is not a dependency) and reports:
 Usage::
 
     PYTHONPATH=src python benchmarks/callcount.py fleet_soak
+    PYTHONPATH=src python benchmarks/callcount.py comms_outage
     PYTHONPATH=src python benchmarks/callcount.py --unreached script examples/chaos_drive.py
 
 Counts repeat for a deterministic driver run the same way (built-in
@@ -39,6 +41,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 import repro
 from repro.fleet import TAG_OLD, FleetSpec, build_fleet_snapshots
 from repro.fleet.shard import simulate_vehicle
+from repro.sim import EventQueue
 
 #: a function as the profiler names it: (file, first line, name)
 Site = Tuple[str, int, str]
@@ -51,8 +54,16 @@ SUITE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "suite")
 VEHICLES = 40
 WARM = 5
 SEED = 0
+#: ``comms_outage`` driver: rounds of the profiled batch (the benchmark's
+#: full batch) and of the unprofiled warm-up batch before it
+COMMS_ROUNDS = 500
+COMMS_WARM_ROUNDS = 20
 #: most-called ``repro`` functions the report lists
 TOP = 15
+#: ``EventQueue.push`` as the profiler names it: every heap push
+PUSH_SITE = (EventQueue.push.__code__.co_filename,
+             EventQueue.push.__code__.co_firstlineno,
+             EventQueue.push.__code__.co_name)
 
 
 @dataclass
@@ -71,6 +82,11 @@ class CallCounts:
     @property
     def per_job(self) -> Optional[float]:
         return self.total / self.jobs if self.jobs else None
+
+    @property
+    def heap_pushes(self) -> int:
+        """``EventQueue.push`` calls: every event pushed onto the heap."""
+        return self.by_site.get(PUSH_SITE, 0)
 
     def in_package(self, package_dir: str = PACKAGE_DIR) -> Dict[Site, int]:
         """The counts of functions defined under ``package_dir``."""
@@ -132,15 +148,21 @@ def unreached(counts: CallCounts, package_dir: str = PACKAGE_DIR) -> List[Site]:
 # -- drivers ----------------------------------------------------------------
 
 
-def fleet_soak_fleet(seed: int = SEED) -> FleetSpec:
-    """The fleet of the ``fleet_soak`` benchmark workload, read from the
-    workload itself so a driver soaks exactly the benchmark's vehicles."""
+def suite_workload(name: str, batch: int, seed: int = SEED) -> Any:
+    """The benchmark suite's workload ``name`` with ``batch`` items per
+    batch, read from the suite itself so a driver runs exactly the
+    benchmark's worlds."""
     sys.path.insert(0, SUITE_DIR)
     try:
-        from workloads import FleetSoak
+        from workloads import WORKLOADS
     finally:
         sys.path.remove(SUITE_DIR)
-    return FleetSoak(seed, {"batch": 1, "trace_batches": 1}, "").fleet
+    return WORKLOADS[name](seed, {"batch": batch, "trace_batches": 1}, "")
+
+
+def fleet_soak_fleet(seed: int = SEED) -> FleetSpec:
+    """The fleet of the ``fleet_soak`` benchmark workload."""
+    return suite_workload("fleet_soak", 1, seed).fleet
 
 
 def drive_fleet_soak(vehicles: int = VEHICLES, warm: int = WARM) -> CallCounts:
@@ -157,6 +179,21 @@ def drive_fleet_soak(vehicles: int = VEHICLES, warm: int = WARM) -> CallCounts:
     soak(0, warm)
     jobs, counts = count_calls(soak, warm, warm + vehicles)
     counts.jobs = jobs
+    return counts
+
+
+def drive_comms_outage(rounds: int = COMMS_ROUNDS,
+                       warm: int = COMMS_WARM_ROUNDS) -> CallCounts:
+    """The first batch of the ``comms_outage`` benchmark (``rounds``
+    rounds of its six flows, the backbone down for the middle half),
+    after an unprofiled ``warm``-round batch.  Only ``Simulator.run`` is
+    profiled, not the world's build.  A job is one message."""
+    if warm:
+        sim, _ = suite_workload("comms_outage", warm)._build(0)
+        sim.run()
+    sim, messages = suite_workload("comms_outage", rounds)._build(0)
+    _, counts = count_calls(sim.run)
+    counts.jobs = messages
     return counts
 
 
@@ -184,6 +221,9 @@ def report(counts: CallCounts, show_unreached: bool) -> dict:
         "repro_calls": sum(own.values()),
         "jobs": counts.jobs,
         "calls_per_job": counts.per_job,
+        "heap_pushes": counts.heap_pushes,
+        "heap_pushes_per_job": (counts.heap_pushes / counts.jobs
+                                if counts.jobs else None),
         "top": [[_label(site), n] for site, n in ranked],
     }
     if show_unreached:
@@ -198,18 +238,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     drivers = parser.add_subparsers(dest="driver", required=True)
     drivers.add_parser("fleet_soak", help=f"{VEHICLES} seed-{SEED} fleet_soak "
                        f"vehicles after {WARM} warm ones")
+    drivers.add_parser("comms_outage", help=f"one {COMMS_ROUNDS}-round "
+                       f"seed-{SEED} comms_outage batch; a job is a message")
     script = drivers.add_parser("script", help="a Python script as __main__")
     script.add_argument("path")
     args = parser.parse_args(argv)
 
     if args.driver == "fleet_soak":
         counts = drive_fleet_soak()
+    elif args.driver == "comms_outage":
+        counts = drive_comms_outage()
     else:
         counts = drive_script(args.path)
     out = report(counts, args.unreached)
     print(f"calls {out['calls']} (repro functions {out['repro_calls']})")
     if counts.jobs:
-        print(f"jobs {counts.jobs}; calls per job {out['calls_per_job']:.2f}")
+        print(f"jobs {counts.jobs}; calls per job {out['calls_per_job']:.2f}; "
+              f"heap pushes per job {out['heap_pushes_per_job']:.2f}")
     for label, n in out["top"]:
         print(f"{n:>10}  {label}")
     for label in out.get("unreached", ()):

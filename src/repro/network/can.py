@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NetworkError
-from ..sim import Signal, Simulator
+from ..sim import PRIORITY_NORMAL, Signal, Simulator
 from .base import BusModel
 from .frame import Frame
 
@@ -106,8 +106,16 @@ class CanBus(BusModel):
     # -- internals ---------------------------------------------------------
 
     def _start_next(self) -> None:
+        item = self._arbitrate()
+        if item is not None:
+            sim = self.sim
+            sim.queue.push(sim.now + item[2], self._finish, item).pooled = True
+
+    def _arbitrate(self) -> Optional[Tuple[Frame, Signal, float]]:
+        """One arbitration round: start the winning frame and return its
+        finish event's arguments, or ``None`` if nothing is pending."""
         if not self._pending:
-            return
+            return None
         self._busy = True
         __, seq, frame, done = heapq.heappop(self._pending)
         if seq > self._loss_watermark:
@@ -128,16 +136,33 @@ class CanBus(BusModel):
                 can_id=frame.priority,
                 duration=duration,
             )
-        sim.queue.push(
-            sim.now + duration, self._finish, (frame, done, duration)
-        ).pooled = True
+        return frame, done, duration
 
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
-        self.transmit_time += duration
-        self._deliver(frame, done)
-        # interframe space before the next arbitration round
+        """Deliver a completed frame, then run the wire train: the
+        interframe-space idle and the next arbitration, then that frame's
+        finish, and so on, each in place for as long as it is exactly the
+        event the kernel would dispatch next
+        (:meth:`Simulator.dispatch_in_place`); the first one that is not
+        is pushed."""
         sim = self.sim
-        sim.queue.push(sim.now + self._ifs, self._idle, ()).pooled = True
+        while True:
+            self.transmit_time += duration
+            self._deliver(frame, done)
+            # interframe space before the next arbitration round
+            when = sim.now + self._ifs
+            if not sim.dispatch_in_place(when, PRIORITY_NORMAL):
+                sim.queue.push(when, self._idle, ()).pooled = True
+                return
+            self._busy = False
+            item = self._arbitrate()
+            if item is None:
+                return
+            frame, done, duration = item
+            when = sim.now + duration
+            if not sim.dispatch_in_place(when, PRIORITY_NORMAL):
+                sim.queue.push(when, self._finish, item).pooled = True
+                return
 
     def _idle(self) -> None:
         self._busy = False

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
-from ..sim import Signal, Simulator
+from ..sim import PRIORITY_NORMAL, Signal, Simulator
 from .base import BusModel
 from .frame import Frame
 
@@ -46,68 +46,90 @@ class EgressPort:
     Each queued entry carries its precomputed wire duration — computed
     once at enqueue time, not re-derived at selection/transmission (the
     gated TSN subclass re-inspects the head duration on every selection
-    round, so this caching is what keeps guard-band checks O(1))."""
+    round, so this caching is what keeps guard-band checks O(1)).  A
+    class's queue is created by its first queued frame.
+
+    An idle plain port has empty queues (a finish selects the next frame
+    before it lets the port go idle), so :meth:`enqueue` starts a frame
+    on an idle port directly, without queueing and selecting it."""
 
     def __init__(self, bus: "EthernetBus", dst: str) -> None:
         self.bus = bus
         self.dst = dst
-        self.queues: List[Deque[Tuple[Frame, Signal, float]]] = [
-            deque() for _ in range(N_PRIORITIES)
-        ]
+        self.queues: List[Optional[Deque[Tuple[Frame, Signal, float]]]] = [
+            None
+        ] * N_PRIORITIES
         self.busy = False
         self.frames_sent = 0
 
-    def enqueue(self, frame: Frame, done: Signal) -> None:
+    def _duration(self, frame: Frame) -> float:
+        """Wire seconds of ``frame``, after checking its PCP."""
         if not 0 <= frame.priority < N_PRIORITIES:
             raise NetworkError(
                 f"Ethernet PCP must be 0..{N_PRIORITIES - 1}, got {frame.priority}"
             )
-        bus = self.bus
-        duration = bus._durations.get(frame.payload_bytes)
+        durations = self.bus._durations
+        duration = durations.get(frame.payload_bytes)
         if duration is None:
             # a miss fills the per-bus memo; an oversize frame raises
             # before anything is stored
-            duration = bus._durations[frame.payload_bytes] = bus.wire_time(
+            duration = durations[frame.payload_bytes] = self.bus.wire_time(
                 ethernet_wire_bytes(frame.payload_bytes)
             )
-        self._admit(frame, duration)
-        self.queues[frame.priority].append((frame, done, duration))
-        if not self.busy:
-            self._start_next()
+        return duration
 
-    def _admit(self, frame: Frame, duration: float) -> None:
-        """Admission hook; the TSN subclass rejects frames that can never
-        fit any open gate window."""
+    def _queue(self, frame: Frame, done: Signal, duration: float) -> None:
+        queue = self.queues[frame.priority]
+        if queue is None:
+            queue = self.queues[frame.priority] = deque()
+        queue.append((frame, done, duration))
 
-    def _select(self) -> Optional[Tuple[Frame, Signal, float]]:
-        """Strict priority: highest non-empty PCP queue first."""
-        for pcp in range(N_PRIORITIES - 1, -1, -1):
-            if self.queues[pcp]:
-                return self.queues[pcp].popleft()
-        return None
-
-    def _start_next(self) -> None:
-        item = self._select()
-        if item is None:
+    def enqueue(self, frame: Frame, done: Signal) -> None:
+        duration = self._duration(frame)
+        if self.busy:
+            self._queue(frame, done, duration)
             return
-        frame, done, duration = item
         self.busy = True
         sim = self.bus.sim
         sim.queue.push(
             sim.now + duration, self._finish, (frame, done, duration)
         ).pooled = True
 
+    def _select(self) -> Optional[Tuple[Frame, Signal, float]]:
+        """Strict priority: highest non-empty PCP queue first."""
+        queues = self.queues
+        for pcp in range(N_PRIORITIES - 1, -1, -1):
+            queue = queues[pcp]
+            if queue:
+                return queue.popleft()
+        return None
+
     def _finish(self, frame: Frame, done: Signal, duration: float) -> None:
-        self.frames_sent += 1
+        """Deliver a completed frame, then run the wire train: select the
+        port's next frame and perform its finish in place for as long as
+        it is exactly the event the kernel would dispatch next
+        (:meth:`Simulator.dispatch_in_place`); the first one that is not
+        is pushed.  The port stays busy while a delivery runs, so a frame
+        enqueued from a receiver is queued and selected here."""
         bus = self.bus
-        bus.transmit_time += duration
-        bus._deliver(frame, done)
-        self.busy = False
-        self._start_next()
+        sim = bus.sim
+        while True:
+            self.frames_sent += 1
+            bus.transmit_time += duration
+            bus._deliver(frame, done)
+            item = self._select()
+            if item is None:
+                self.busy = False
+                return
+            frame, done, duration = item
+            when = sim.now + duration
+            if not sim.dispatch_in_place(when, PRIORITY_NORMAL):
+                sim.queue.push(when, self._finish, item).pooled = True
+                return
 
     @property
     def backlog_frames(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(len(q) for q in self.queues if q)
 
 
 class _BroadcastLatch:

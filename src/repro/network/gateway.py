@@ -49,11 +49,15 @@ class _SegmentBatch:
     forwards intermediate-hop arrivals and counts down final-hop ones
     (only while a caller waits on ``done``; a ``None`` sink skips it) —
     no per-frame :class:`~repro.sim.Signal` and no deferred-dispatch
-    event.  Nothing the batch holds points back at it, so a finished
-    batch, or one whose segments a fault hook dropped, is freed by
-    reference counting alone.  Being a plain object (no closures), a
-    snapshot taken mid-transfer copies it, countdown included,
-    instead of aliasing the original's mutable state.
+    event.  A gateway forwards the frame it received: after the
+    store-and-forward delay, :meth:`forward` re-addresses that very
+    frame to the next hop under a fresh sim-local id.  Nothing above the
+    network layer holds a gateway-addressed frame, so one frame object
+    carries a segment from its first bus to its last.  Nothing the batch
+    holds points back at it, so a finished batch, or one whose segments
+    a fault hook dropped, is freed by reference counting alone.  Being a
+    plain object (no closures), a snapshot taken mid-transfer copies it,
+    countdown included, instead of aliasing the original's mutable state.
     """
 
     __slots__ = ("net", "hops", "hop_buses", "hop_priorities", "last_hop",
@@ -80,19 +84,35 @@ class _SegmentBatch:
         self.remaining = n_segments
         self.done = done
 
-    def submit_hop(self, index: int, payload_bytes: int, payload: object) -> None:
-        from_ecu, __, to_ecu = self.hops[index]
-        frame = self.net._new_frame(
-            from_ecu, to_ecu, payload_bytes,
-            self.hop_priorities[index], self.traffic_class, payload, self.label,
-            index,
+    def submit(self, payload_bytes: int, payload: object) -> None:
+        """Put one segment on the first hop's bus."""
+        src, __, dst = self.hops[0]
+        frame = Frame(
+            src=src,
+            dst=dst,
+            payload_bytes=payload_bytes,
+            priority=self.hop_priorities[0],
+            traffic_class=self.traffic_class,
+            payload=payload,
+            label=self.label,
+            frame_id=self.net.sim.next_frame_id(),
         )
+        self.hop_buses[0].submit(frame, self)
+
+    def forward(self, frame: Frame) -> None:
+        """Put ``frame``, delivered to a gateway, on the next hop's bus."""
+        index = frame.hop + 1
+        frame.src, __, frame.dst = self.hops[index]
+        frame.priority = self.hop_priorities[index]
+        frame.delivered_at = None
+        frame.corrupted = False
+        frame.frame_id = self.net.sim.next_frame_id()
+        frame.hop = index
         self.hop_buses[index].submit(frame, self)
 
     def fire(self, frame: Frame) -> None:
         """Completion of one segment frame on hop ``frame.hop``."""
-        index = frame.hop
-        if index == self.last_hop:
+        if frame.hop == self.last_hop:
             done = self.done
             if done is not None:
                 self.remaining -= 1
@@ -103,12 +123,8 @@ class _SegmentBatch:
         net.gateway_forwards += 1
         sim = net.sim
         sim.queue.push(
-            sim.now + GATEWAY_LATENCY, self.submit_hop,
-            (index + 1, frame.payload_bytes, frame.payload),
+            sim.now + GATEWAY_LATENCY, self.forward, (frame,)
         ).pooled = True
-        # the intermediate-hop frame is dead: payload extracted, trace
-        # recorded, no listener retains gateway-addressed frames
-        net._recycle_frame(frame)
 
 
 def build_bus(sim: Simulator, spec: BusSpec, gcl: Optional[GateControlList] = None) -> BusModel:
@@ -158,8 +174,6 @@ class VehicleNetwork:
         metrics = sim.metrics
         self._m_cache_hit = metrics.counter("net.route_cache.hit")
         self._m_cache_miss = metrics.counter("net.route_cache.miss")
-        #: free list of dead intermediate-hop frames awaiting reuse
-        self._frame_pool: List[Frame] = []
         for ecu in topology.ecus:
             for bus_spec in topology.buses_of(ecu.name):
                 self.buses[bus_spec.name].add_listener(
@@ -171,13 +185,6 @@ class VehicleNetwork:
         # immutable structure shared by reference across forks
         sim.adopt("network", self)
         sim.share(topology, topology.graph)
-
-    def __getstate__(self) -> dict:
-        # pooled frames belong to this world's free list only (the same
-        # hygiene as EventQueue: restored worlds start with an empty pool)
-        state = self.__dict__.copy()
-        state["_frame_pool"] = []
-        return state
 
     def _auto_assign_flexray_slots(self) -> None:
         """Give every ECU on a FlexRay cluster one static slot, in
@@ -212,63 +219,6 @@ class VehicleNetwork:
         handler = self._receivers.get(ecu_name)
         if handler is not None:
             handler(frame)
-
-    # -- frame pool ---------------------------------------------------------
-
-    def _new_frame(
-        self,
-        src: str,
-        dst: str,
-        payload_bytes: int,
-        priority: int,
-        traffic_class: TrafficClass,
-        payload: object,
-        label: str,
-        hop: int,
-    ) -> Frame:
-        """Build (or recycle) one segment frame with a sim-local id."""
-        pool = self._frame_pool
-        if pool:
-            if payload_bytes < 0:
-                # the check Frame.__post_init__ runs on a fresh frame
-                raise NetworkError("payload size cannot be negative")
-            frame = pool.pop()
-            frame.src = src
-            frame.dst = dst
-            frame.payload_bytes = payload_bytes
-            frame.priority = priority
-            frame.traffic_class = traffic_class
-            frame.payload = payload
-            frame.label = label
-            frame.created_at = 0.0
-            frame.delivered_at = None
-            frame.corrupted = False
-            frame.frame_id = self.sim.next_frame_id()
-            frame.hop = hop
-            return frame
-        return Frame(
-            src=src,
-            dst=dst,
-            payload_bytes=payload_bytes,
-            priority=priority,
-            traffic_class=traffic_class,
-            payload=payload,
-            label=label,
-            frame_id=self.sim.next_frame_id(),
-            hop=hop,
-        )
-
-    def _recycle_frame(self, frame: Frame) -> None:
-        """Return a dead intermediate-hop frame to the free list.
-
-        Only the gateway forwarding path calls this: frames addressed to a
-        gateway ECU are consumed on arrival (their payload moves to a
-        fresh frame on the next segment) and nothing above the network
-        layer ever holds them.  Final-hop frames escape to endpoints and
-        delivery signals and are never recycled.
-        """
-        frame.payload = None
-        self._frame_pool.append(frame)
 
     # -- bus failure & redundant channels -------------------------------------
 
@@ -429,7 +379,7 @@ class VehicleNetwork:
             n_segments, done,
         )
         for size, payload in zip(sizes, payloads):
-            batch.submit_hop(0, size, payload)
+            batch.submit(size, payload)
 
     @staticmethod
     def _segment_priority(bus: BusModel, priority: int, traffic_class: TrafficClass) -> int:

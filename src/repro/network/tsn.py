@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
-from ..sim import Simulator
+from ..errors import ConfigurationError, NetworkError
+from ..sim import PRIORITY_NORMAL, Simulator
 from .ethernet import EgressPort, EthernetBus
 from .frame import Frame
 
@@ -133,14 +133,19 @@ class GatedEgressPort(EgressPort):
                 if entry.duration > self._max_open_window[pcp]:
                     self._max_open_window[pcp] = entry.duration
 
-    def _admit(self, frame: Frame, duration: float) -> None:
+    def enqueue(self, frame: Frame, done) -> None:
+        """Queue ``frame`` and start a transmission if the port is idle;
+        refuse a frame that can never fit any gate window open for its
+        class."""
+        duration = self._duration(frame)
         if duration > self._max_open_window[frame.priority] + 1e-12:
-            from ..errors import NetworkError
-
             raise NetworkError(
                 f"frame of {frame.payload_bytes} B can never fit a gate window "
                 f"open for priority {frame.priority}"
             )
+        self._queue(frame, done, duration)
+        if not self.busy:
+            self._start_next()
 
     def _select(self):
         """Strict priority among queues whose gate is open *and* whose head
@@ -195,19 +200,24 @@ class GatedEgressPort(EgressPort):
     def _wakeup(self) -> None:
         self._wakeup_pending = False
         if not self.busy:
-            self._start_next()
+            self._start_next(in_place=True)
 
-    def _start_next(self) -> None:
+    def _start_next(self, in_place: bool = False) -> None:
+        """Start the selected frame, if any.  ``in_place`` is for the
+        port's own wake-up event only: it performs the frame's finish in
+        place when that is exactly the event the kernel would dispatch
+        next (:meth:`Simulator.dispatch_in_place`), which goes on as the
+        wire train of :meth:`EgressPort._finish`."""
         item = self._select()
         if item is None:
-            self.busy = False
             return
-        frame, done, duration = item
         self.busy = True
         sim = self.bus.sim
-        sim.queue.push(
-            sim.now + duration, self._finish, (frame, done, duration)
-        ).pooled = True
+        when = sim.now + item[2]
+        if in_place and sim.dispatch_in_place(when, PRIORITY_NORMAL):
+            self._finish(*item)
+        else:
+            sim.queue.push(when, self._finish, item).pooled = True
 
 
 class TsnBus(EthernetBus):

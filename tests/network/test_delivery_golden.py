@@ -203,7 +203,7 @@ def outage_topology() -> Topology:
     return topo
 
 
-def outage_run() -> dict:
+def outage_world():
     """Every flow sends once per round; the backbone is down for the
     middle half of the rounds and the camera, which has no redundant
     path, pauses for that window."""
@@ -230,6 +230,11 @@ def outage_run() -> dict:
                               src=src, dst=dst,
                               session_id=sim.next_session_id())
             sim.at(r * PERIOD, endpoints[src].send, message, qos)
+    return sim, net, endpoints
+
+
+def outage_run() -> dict:
+    sim, net, endpoints = outage_world()
     sim.run()
     return record(sim, net, endpoints)
 

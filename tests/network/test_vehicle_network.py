@@ -152,25 +152,30 @@ def gateway_pair_topology():
 
 
 class TestNegativePayload:
-    """A negative size is refused whether or not a pooled frame is reused."""
+    """A negative size is refused on a fresh network and with a forwarded
+    frame in flight (a gateway forwards the frame it received, so the
+    refused send must not disturb the one on its next hop)."""
 
     def test_rejected_with_empty_pool(self):
         sim = Simulator()
         net = VehicleNetwork(sim, gateway_pair_topology())
-        assert not net._frame_pool
         with pytest.raises(NetworkError, match="payload size cannot be negative"):
             net.send("a", "b", -5)
+        assert len(sim.queue) == 0 and net.gateway_forwards == 0
 
     def test_rejected_when_a_pooled_frame_would_be_reused(self):
         sim = Simulator()
         net = VehicleNetwork(sim, gateway_pair_topology())
         net.send("c", "a", 8)
-        while not net._frame_pool:
+        while not net.gateway_forwards:
             sim.step()
+        pending = len(sim.queue)
         with pytest.raises(NetworkError, match="payload size cannot be negative"):
             net.send("a", "b", -5)
-        # the refused send consumed nothing: the pooled frame is still
-        # there, and only the gateway leg's 8 bytes reach the backbone
-        assert len(net._frame_pool) == 1
+        # the refused send consumed nothing: no event and no queued
+        # frame, and only the gateway leg's 8 bytes reach the backbone
+        assert len(sim.queue) == pending
+        assert net.bus("eth").port_backlog("b") == 0
         sim.run()
         assert net.bus("eth").bytes_delivered == 8
+        assert net.gateway_forwards == 1
