@@ -100,12 +100,15 @@ class _SegmentBatch:
         self.hop_buses[0].submit(frame, self)
 
     def forward(self, frame: Frame) -> None:
-        """Put ``frame``, delivered to a gateway, on the next hop's bus."""
+        """Put ``frame``, delivered to a gateway, on the next hop's bus.
+
+        Corruption is sticky: the gateway forwards the payload bit for
+        bit, so the destination's CRC check discards a frame mangled on
+        any hop (as :meth:`Frame.clone_for_segment` does)."""
         index = frame.hop + 1
         frame.src, __, frame.dst = self.hops[index]
         frame.priority = self.hop_priorities[index]
         frame.delivered_at = None
-        frame.corrupted = False
         frame.frame_id = self.net.sim.next_frame_id()
         frame.hop = index
         self.hop_buses[index].submit(frame, self)

@@ -179,3 +179,32 @@ class TestNegativePayload:
         sim.run()
         assert net.bus("eth").bytes_delivered == 8
         assert net.gateway_forwards == 1
+
+
+class TestCorruptionIsSticky:
+    def test_gateway_forwards_a_corrupted_frame(self):
+        """A frame corrupted on its CAN leg stays corrupted across the
+        gateway, so the destination endpoint discards it instead of
+        receiving the message."""
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        from repro.middleware import Endpoint, Message, MessageType, ServiceRegistry
+
+        sim = Simulator()
+        net = VehicleNetwork(sim, gateway_pair_topology())
+        registry = ServiceRegistry()
+        c, a = (Endpoint(sim, net, name, registry) for name in ("c", "a"))
+        plan = FaultPlan(name="corrupt-can", faults=(FaultSpec(
+            kind="frame_corrupt", target="can", start=0.0, duration=1.0,
+            probability=1.0),))
+        FaultInjector(sim, plan, 3, network=net).arm()
+        for session in range(1, 6):
+            sim.post(0.001 * session, c.send, Message(
+                service_id=0x10, method_id=1,
+                msg_type=MessageType.NOTIFICATION, payload_bytes=4,
+                src="c", dst="a", session_id=session))
+        sim.run()
+        can, eth = net.bus("can"), net.bus("eth")
+        assert can.frames_corrupted == can.frames_delivered > 0
+        assert net.gateway_forwards == eth.frames_delivered == can.frames_delivered
+        assert a.messages_received == 0
+        assert a.frames_discarded == eth.frames_delivered
