@@ -1,6 +1,7 @@
 """Timed gates: throughput floors and overhead ceilings, as pytest tests,
-and two deterministic counts (heap pushes per soaked vehicle, Python
-calls per soaked job).
+and four deterministic counts (heap pushes per soaked vehicle, Python
+calls per soaked job, heap pushes and calls per ``comms_outage``
+message).
 
 Run with the rest of the experiment benchmarks::
 
@@ -75,6 +76,13 @@ SOAK_VEHICLES = 30
 #: settle, release and hold became one pass through ``Core._turnover``,
 #: 26.1 after
 SOAK_CALLS_PER_JOB_CEILING = 27.0
+#: EventQueue pushes per message of one seed-0 ``comms_outage`` batch,
+#: as ``callcount.drive_comms_outage()`` counts them: 20.13 when every
+#: bus event went through the heap, 14.86 with wire trains
+COMMS_HEAP_PUSHES_PER_MESSAGE_CEILING = 15.5
+#: profiled calls (built-ins included) per message of that batch: 364.5
+#: before wire trains and the gateway's frame forwarding, 299.5 after
+COMMS_CALLS_PER_MESSAGE_CEILING = 305.0
 
 CPUS = os.cpu_count() or 1
 multi_core = pytest.mark.skipif(
@@ -335,3 +343,20 @@ def test_soak_calls_per_job():
     assert per_job <= SOAK_CALLS_PER_JOB_CEILING, (
         f"{per_job:.2f} calls per soaked job > ceiling "
         f"{SOAK_CALLS_PER_JOB_CEILING}")
+
+
+# -- per-message cost of comms_outage ------------------------------------------
+
+
+def test_comms_per_message_counts():
+    """A bus completion runs its own next event in place when it is the
+    next event anyway (wire trains), and a gateway forwards the frame it
+    received: the per-message heap pushes and calls hold that path."""
+    counts = callcount.drive_comms_outage()
+    pushes = counts.heap_pushes / counts.jobs
+    assert pushes <= COMMS_HEAP_PUSHES_PER_MESSAGE_CEILING, (
+        f"{pushes:.2f} heap pushes per comms message > ceiling "
+        f"{COMMS_HEAP_PUSHES_PER_MESSAGE_CEILING}")
+    assert counts.per_job <= COMMS_CALLS_PER_MESSAGE_CEILING, (
+        f"{counts.per_job:.1f} calls per comms message > ceiling "
+        f"{COMMS_CALLS_PER_MESSAGE_CEILING}")

@@ -21,6 +21,16 @@ def test_fleet_soak_calls_per_job():
     assert again.by_site == counts.by_site
 
 
+def test_comms_outage_calls_and_pushes_per_message():
+    counts = callcount.drive_comms_outage(rounds=8, warm=4)
+    # six flows a round; the camera pauses for rounds 2..5 of the outage
+    assert counts.jobs == 6 * 8 - 4
+    assert 0 < counts.heap_pushes < 40 * counts.jobs
+    assert 50 < counts.per_job < 1000
+    again = callcount.drive_comms_outage(rounds=8, warm=4)
+    assert again.by_site == counts.by_site
+
+
 def test_unreached_lists_what_the_driver_never_called(tmp_path, monkeypatch):
     package = tmp_path / "callcount_pkg"
     package.mkdir()

@@ -78,7 +78,7 @@ class Topology:
 
     def __getstate__(self) -> dict:
         # the memo is a cache: a pickled or deep-copied topology starts
-        # with an empty one (the same hygiene as the network's frame pool)
+        # with an empty one (the same hygiene as the event queue's free list)
         state = self.__dict__.copy()
         state["_routes"] = {}
         return state

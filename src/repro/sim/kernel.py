@@ -408,9 +408,13 @@ class Simulator:
 
         The call in dispatch must be a fire-and-forget one (nobody else
         holds its handle), since its key changes.  :meth:`step` never
-        says yes.  The user in this code base is
-        :class:`~repro.osal.core.PeriodicSource`: a run of its
-        activations dispatched this way is an *activation train*.
+        says yes.  The users in this code base are
+        :class:`~repro.osal.core.PeriodicSource`, whose activations
+        dispatched this way make an *activation train*, and three bus
+        event bodies, which make a *wire train*: ``CanBus._finish`` (the
+        interframe-space idle, the next arbitration and its finish),
+        ``EgressPort._finish`` (the port's next finish) and
+        ``GatedEgressPort._wakeup`` (the finish of the frame it starts).
         """
         call = self.dispatching
         if call is None or self.sanitizer is not None or time > self._until:
