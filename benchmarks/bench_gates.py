@@ -73,9 +73,9 @@ SOAK_HEAP_PUSHES_PER_VEHICLE_CEILING = 32
 SOAK_VEHICLES = 30
 #: profiled calls (built-ins included) per seed-0 ``fleet_soak`` job, as
 #: ``callcount.drive_fleet_soak()`` counts them: 39.2 before a job's
-#: settle, release and hold became one pass through ``Core._turnover``,
-#: 26.1 after
-SOAK_CALLS_PER_JOB_CEILING = 27.0
+#: settle, release and hold became one pass through ``Core._turnover``;
+#: then 26.1 before deferred histograms, 21.1 after
+SOAK_CALLS_PER_JOB_CEILING = 22.0
 #: EventQueue pushes per message of one seed-0 ``comms_outage`` batch,
 #: as ``callcount.drive_comms_outage()`` counts them: 20.13 when every
 #: bus event went through the heap, 14.86 with wire trains

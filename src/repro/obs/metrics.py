@@ -15,6 +15,10 @@ Design rules:
 * **Histograms are streaming.**  Quantiles (p50/p95/p99) come from
   log-spaced buckets with a bounded relative error — no per-sample
   storage, so fleet-scale campaigns cannot grow memory without limit.
+  A positive observation is only counted into a pending multiset of
+  at most :data:`PENDING_LIMIT` distinct values; the first read (or a
+  new distinct value past the limit) folds it into the buckets and the
+  exact sum once per distinct value.
 * **Instruments pickle compactly.**  Each reduces to a module-level
   constructor and a flat state tuple, not copyreg's per-object
   slot-state dict: every snapshot restore rebuilds the world's whole
@@ -46,6 +50,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Label set normalised to a hashable, order-independent key component.
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: distinct values a histogram keeps pending before it folds them
+PENDING_LIMIT = 256
+
+_INF = math.inf
 
 
 def accumulate_exact(partials: List[float], value: float) -> None:
@@ -228,11 +237,18 @@ class Histogram(Instrument):
     carry a relative error of at most ``growth - 1`` (10% by default)
     while memory stays proportional to the dynamic range, not the sample
     count.  Non-positive values land in a dedicated zero bucket.
+
+    ``count``, ``min`` and ``max`` are current after every ``observe``.
+    A positive value is otherwise only counted into ``_pending`` (value
+    -> count); every other read, ``merge`` and pickling first fold the
+    pending values into the buckets and the exact sum, once per distinct
+    value, and a new distinct value past :data:`PENDING_LIMIT` folds
+    them too.  Non-finite values are refused.
     """
 
     kind = "histogram"
     __slots__ = ("count", "min", "max", "growth", "_log_growth",
-                 "_buckets", "_zero_count", "_partials")
+                 "_buckets", "_zero_count", "_partials", "_pending")
 
     def __init__(
         self, name: str, labels: LabelKey, enabled: bool, growth: float = 1.1
@@ -251,40 +267,65 @@ class Histogram(Instrument):
         # histograms is error-free and grouping-independent: any shard
         # split of the observation stream reports the same total
         self._partials: List[float] = []
+        self._pending: Dict[float, int] = {}
+
+    def __setstate__(self, state: tuple) -> None:
+        """Load a slot-state pickle, written before histograms pickled
+        flat; it carries no pending values."""
+        self._pending = {}
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
 
     def observe(self, value: float) -> None:
         if not self._enabled:
             return
-        self.count += 1
-        partials = self._partials
-        if len(partials) == 1:
-            # accumulate_exact's loop for its common one-partial case
-            y = partials[0]
-            x = value
-            if abs(x) < abs(y):
-                x, y = y, x
-            high = x + y
-            low = y - (high - x)
-            if low:
-                partials[0] = low
-                partials.append(high)
+        if 0.0 < value < _INF:
+            pending = self._pending
+            n = pending.get(value)
+            if n is None:
+                if len(pending) >= PENDING_LIMIT:
+                    self._fold()
+                pending[value] = 1
             else:
-                partials[0] = high
+                pending[value] = n + 1
+        elif -_INF < value <= 0.0:
+            accumulate_exact(self._partials, value)
+            self._zero_count += 1
         else:
-            accumulate_exact(partials, value)
+            raise ValueError(
+                f"histogram {self.full_name} cannot observe {value!r}")
+        self.count += 1
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        if value <= 0.0:
-            self._zero_count += 1
+
+    def _fold(self) -> None:
+        """Fold the pending values into the buckets and the exact sum."""
+        pending = self._pending
+        if not pending:
             return
-        index = math.ceil(math.log(value) / self._log_growth)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        buckets = self._buckets
+        partials = self._partials
+        log_growth = self._log_growth
+        for value, n in pending.items():
+            index = math.ceil(math.log(value) / log_growth)
+            buckets[index] = buckets.get(index, 0) + n
+            # n * value, exactly: one partial per set bit of n, each
+            # ``value * 2**k`` by doubling, which rounds nothing
+            while True:
+                if n & 1:
+                    accumulate_exact(partials, value)
+                n >>= 1
+                if not n:
+                    break
+                value += value
+        pending.clear()
 
     @property
     def sum(self) -> float:
         """Correctly rounded sum of every observation (exact under merge)."""
+        self._fold()
         return exact_total(self._partials)
 
     def merge(self, other: "Histogram") -> None:
@@ -295,7 +336,8 @@ class Histogram(Instrument):
         unsharded histogram byte for byte — counts and buckets are
         integers, min/max are order-free, and the sum is accumulated
         without rounding error.  Growth factors must match, otherwise the
-        bucket indices describe different geometries.
+        bucket indices describe different geometries.  The other
+        histogram's pending values join this one's pending values.
         """
         if other.growth != self.growth:
             raise ValueError(
@@ -314,6 +356,12 @@ class Histogram(Instrument):
         self._zero_count += other._zero_count
         for index, bucket_count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + bucket_count
+        if other._pending:
+            pending = self._pending
+            for value, n in other._pending.items():
+                pending[value] = pending.get(value, 0) + n
+            if len(pending) > PENDING_LIMIT:
+                self._fold()
 
     @property
     def mean(self) -> float:
@@ -325,6 +373,7 @@ class Histogram(Instrument):
             raise ValueError(f"quantile must be within [0, 1], got {q}")
         if self.count == 0:
             return 0.0
+        self._fold()
         target = q * self.count
         seen = float(self._zero_count)
         if seen >= target:
@@ -352,6 +401,7 @@ class Histogram(Instrument):
         }
 
     def __reduce__(self) -> tuple:
+        self._fold()
         return _histogram, (self.name, self.labels, self._enabled,
                             self.growth, self.count, self.min, self.max,
                             self._buckets, self._zero_count, self._partials)
@@ -373,12 +423,14 @@ def _histogram(name: str, labels: LabelKey, enabled: bool, growth: float,
     hist._buckets = buckets
     hist._zero_count = zero_count
     hist._partials = partials
+    hist._pending = {}
     return hist
 
 
 def _copy(instrument: Instrument, enabled: bool) -> Instrument:
     """A private instrument with ``instrument``'s identity and state."""
     if instrument.kind == "histogram":
+        instrument._fold()
         return _histogram(
             instrument.name, instrument.labels, enabled, instrument.growth,
             instrument.count, instrument.min, instrument.max,

@@ -39,11 +39,14 @@ FIELDS = {
     Gauge: ("name", "labels", "_enabled", "value"),
     Histogram: ("name", "labels", "_enabled", "count", "min", "max",
                 "growth", "_log_growth", "_buckets", "_zero_count",
-                "_partials"),
+                "_partials", "_pending"),
 }
 
 
 def state(instrument):
+    """Every slot, pending histogram values folded first."""
+    if isinstance(instrument, Histogram):
+        instrument._fold()
     return tuple(getattr(instrument, f) for f in FIELDS[type(instrument)])
 
 

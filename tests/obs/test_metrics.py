@@ -1,5 +1,6 @@
 """Tests for counters, gauges and streaming histograms."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -108,6 +109,25 @@ class TestHistogramQuantiles:
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
             registry.histogram("x").quantile(1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_refused_without_a_trace(self, value):
+        registry = MetricsRegistry()
+        h = registry.histogram("lat", core="c0")
+        for v in (0.5, 0.0, -1.0, 0.5):
+            h.observe(v)
+        h.snapshot()
+        h.observe(0.25)
+
+        def slots():
+            return (h.count, h.min, h.max, dict(h._pending), list(h._partials),
+                    dict(h._buckets), h._zero_count)
+
+        before = slots()
+        with pytest.raises(ValueError, match=r"lat\{core=c0\}"):
+            h.observe(value)
+        assert slots() == before
+        assert h.snapshot()["count"] == 5
 
     def test_mean_sum(self):
         registry = MetricsRegistry()
