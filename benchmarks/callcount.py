@@ -58,6 +58,9 @@ SEED = 0
 #: full batch) and of the unprofiled warm-up batch before it
 COMMS_ROUNDS = 500
 COMMS_WARM_ROUNDS = 20
+#: the suite's comms world fails its backbone at round ``rounds // 4``
+#: minus half a period, which is before time zero for fewer rounds
+COMMS_MIN_ROUNDS = 4
 #: most-called ``repro`` functions the report lists
 TOP = 15
 #: ``EventQueue.push`` as the profiler names it: every heap push
@@ -187,7 +190,14 @@ def drive_comms_outage(rounds: int = COMMS_ROUNDS,
     """The first batch of the ``comms_outage`` benchmark (``rounds``
     rounds of its six flows, the backbone down for the middle half),
     after an unprofiled ``warm``-round batch.  Only ``Simulator.run`` is
-    profiled, not the world's build.  A job is one message."""
+    profiled, not the world's build.  A job is one message.  Both
+    batches need at least ``COMMS_MIN_ROUNDS`` rounds (``warm=0`` runs
+    no warm batch)."""
+    if rounds < COMMS_MIN_ROUNDS or (warm and warm < COMMS_MIN_ROUNDS):
+        raise ValueError(
+            f"comms_outage rounds={rounds}, warm={warm}: a batch needs at "
+            f"least {COMMS_MIN_ROUNDS} rounds, or its backbone outage is "
+            f"scheduled before time zero")
     if warm:
         sim, _ = suite_workload("comms_outage", warm)._build(0)
         sim.run()

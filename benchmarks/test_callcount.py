@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 import callcount
 
 
@@ -29,6 +31,12 @@ def test_comms_outage_calls_and_pushes_per_message():
     assert 50 < counts.per_job < 1000
     again = callcount.drive_comms_outage(rounds=8, warm=4)
     assert again.by_site == counts.by_site
+
+
+@pytest.mark.parametrize("rounds, warm", [(3, 4), (8, 1), (8, 3), (0, 0)])
+def test_comms_outage_refuses_short_batches(rounds, warm):
+    with pytest.raises(ValueError, match="at least 4 rounds"):
+        callcount.drive_comms_outage(rounds=rounds, warm=warm)
 
 
 def test_unreached_lists_what_the_driver_never_called(tmp_path, monkeypatch):
