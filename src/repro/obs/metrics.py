@@ -54,6 +54,7 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: distinct values a histogram keeps pending before it folds them
 PENDING_LIMIT = 256
 
+#: a module global, one lookup cheaper than ``math.inf`` in ``observe``
 _INF = math.inf
 
 
